@@ -85,12 +85,12 @@ struct TempTree {
 };
 
 /// One daemon lifetime: in-process BuildDaemon served from a thread.
-struct Service {
+struct LiveDaemon {
   RealFileSystem &FS;
   std::unique_ptr<BuildDaemon> Daemon;
   std::thread Server;
 
-  Service(RealFileSystem &FS, unsigned HoldMs, unsigned MaxQueue = 16)
+  LiveDaemon(RealFileSystem &FS, unsigned HoldMs, unsigned MaxQueue = 16)
       : FS(FS) {
     DaemonConfig Config;
     Config.Quiet = true;
@@ -107,7 +107,7 @@ struct Service {
     }
     Server = std::thread([this] { Daemon->serve(); });
   }
-  ~Service() {
+  ~LiveDaemon() {
     Daemon->requestStop();
     Server.join();
   }
@@ -145,7 +145,7 @@ struct PhaseResult {
 
 PhaseResult runPhase(RealFileSystem &FS, ProjectModel &Model, RNG &Rand,
                      unsigned Clients, unsigned Rounds, unsigned HoldMs) {
-  Service S(FS, HoldMs);
+  LiveDaemon S(FS, HoldMs);
   PhaseResult R;
   R.Clients = Clients;
 
@@ -299,7 +299,7 @@ int main() {
     ProjectModel Model = ProjectModel::generate(Profile, /*Seed=*/42);
     Model.renderAll(FS);
 
-    Service S(FS, /*HoldMs=*/40, /*MaxQueue=*/1);
+    LiveDaemon S(FS, /*HoldMs=*/40, /*MaxQueue=*/1);
     double Ignore = 0;
     if (S.build(&Ignore) != 0) {
       std::fprintf(stderr, "overload warmup build failed\n");

@@ -13,13 +13,14 @@
 /// — a no-op rebuild through the daemon re-scans nothing and re-parses
 /// nothing (BuildStats::InterfaceScans == 0, ObjectsParsed == 0).
 ///
-/// Service model (one accept loop, many clients):
+/// It runs on support/Service (the accept loop, connection cap, I/O
+/// deadlines, idle clock and drain order are described once in
+/// docs/BUILD_SYSTEM.md). What is specific to builds:
 ///
-///  * Each accepted connection gets its own thread, which reads exactly
-///    one request (under a total read deadline — a half-frame stall
-///    cannot pin the thread) and answers it. `status` / `explain` /
-///    `shutdown` are answered directly; `build` requests go through the
-///    admission queue.
+///  * One request per connection. `status` / `metrics` / `explain` /
+///    `shutdown` are answered directly; `build` requests go through
+///    the admission queue, and the whole connection counts as a
+///    request in flight for the idle clock, queue wait included.
 ///  * Builds are serialized on ONE builder thread against the resident
 ///    driver (each build is internally parallel via Jobs); pending
 ///    requests wait in a bounded FIFO queue.
@@ -38,12 +39,10 @@
 ///    (`err` + `exit` code 4) instead of building stale work.
 ///  * Disconnect resilience: a client that dies mid-build neither
 ///    aborts nor wedges the build — the build completes (its artifacts
-///    and state persist), the failed fan-out is counted, and the
-///    connection thread is reaped.
-///  * Graceful drain: shutdown (verb, signal, or requestStop()) stops
-///    accepting, lets the in-flight build finish and fan out, cancels
-///    queued builds deterministically (`exit` code 5), joins every
-///    thread, flushes the trace sink, and removes the socket.
+///    and state persist) and the failed fan-out is counted.
+///  * Drain: the in-flight build finishes and fans out, queued builds
+///    are cancelled deterministically (`exit` code 5), and the trace
+///    sink is flushed.
 ///
 /// Wire protocol (shared with DaemonClient): one request per
 /// connection. Each message is a 4-byte little-endian length followed
@@ -69,7 +68,7 @@
 
 #include "build_sys/BuildSystem.h"
 #include "support/FileLock.h"
-#include "support/Socket.h"
+#include "support/Service.h"
 
 #include <atomic>
 #include <chrono>
@@ -77,7 +76,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -218,12 +216,6 @@ struct DaemonConfig {
   /// 0 = requests wait forever.
   unsigned RequestTimeoutMs = 0;
 
-  /// Total deadline for reading one request frame off an accepted
-  /// connection, and for writing each response frame back. A stalled
-  /// or half-dead client can hold a connection thread at most this
-  /// long per frame.
-  unsigned IoTimeoutMs = 10000;
-
   /// Test/bench hook: sleep this long at the start of every build,
   /// creating a deterministic service-time floor so queues and
   /// coalescing windows actually form on fast machines.
@@ -234,14 +226,10 @@ struct DaemonConfig {
   std::function<void()> PreBuildHook;
 
   /// When non-empty: host path that receives the Prometheus text
-  /// rendering of the metrics registry, rewritten atomically
-  /// (temp + rename) from the accept loop every MetricsIntervalMs and
-  /// once more on drain — a scrape-file for collectors that cannot
-  /// speak the socket protocol.
+  /// rendering of the metrics registry (Service::MetricsIntervalMs) —
+  /// a scrape-file for collectors that cannot speak the socket
+  /// protocol.
   std::string MetricsOut;
-
-  /// Period of the --metrics-out dump, in milliseconds.
-  unsigned MetricsIntervalMs = 1000;
 
   /// Suppress the daemon's own lifecycle chatter on stderr.
   bool Quiet = false;
@@ -262,19 +250,15 @@ struct DaemonServiceStats {
   uint32_t ActiveConnections = 0;///< Connection threads alive right now.
 };
 
-/// The resident build service. One accept loop, one connection thread
-/// per client, one builder thread owning the resident BuildDriver (so
-/// two clients never race the driver; builds are internally parallel
-/// via Jobs).
-class BuildDaemon {
+/// The resident build service: a Service whose connections feed one
+/// builder thread owning the resident BuildDriver (so two clients never
+/// race the driver; builds are internally parallel via Jobs).
+class BuildDaemon : public Service {
 public:
   /// \p FS must outlive the daemon. The socket binds at
   /// daemonSocketPath(FS.root(), Config.Build.OutDir).
   BuildDaemon(RealFileSystem &FS, DaemonConfig Config);
-  ~BuildDaemon();
-
-  BuildDaemon(const BuildDaemon &) = delete;
-  BuildDaemon &operator=(const BuildDaemon &) = delete;
+  ~BuildDaemon() override;
 
   /// Acquires the build lock (tag "daemon") and binds the socket.
   /// A stale socket file is removed only after the lock is held — the
@@ -283,18 +267,9 @@ public:
   bool start(std::string *Err);
 
   /// Serves requests until a shutdown request, the idle timeout, or
-  /// requestStop(), then drains gracefully: stops accepting, finishes
-  /// the in-flight build, cancels queued builds with clean frames,
-  /// joins every thread, and flushes the trace sink. Returns the
+  /// requestStop(), then drains (see the file comment). Returns the
   /// process exit code (0 = clean).
   int serve();
-
-  /// Asks serve() to drain and return (signal-safe; callable from any
-  /// thread).
-  void requestStop() { Stop.store(true); }
-
-  /// Host path of the bound socket (valid after start()).
-  const std::string &socketPath() const { return SockPath; }
 
   /// Builds served so far (for tests and `status`).
   uint64_t buildsServed() const { return Svc.BuildsServed.load(); }
@@ -331,31 +306,25 @@ private:
   };
 
   void builderMain();
-  void connectionMain(UnixSocket Conn);
+  void serveConnection(UnixSocket &Conn) override;
+  void drain() override;
   void handleBuildRequest(UnixSocket &Conn, const DaemonRequest &Req);
   void runJob(const std::shared_ptr<BuildJob> &Job);
   void cancelJob(BuildJob &Job, int Code, const std::string &Text);
-  /// Streams one waiter's frames to its client; false when the client
-  /// is gone (counted as a disconnect).
-  bool streamWaiter(UnixSocket &Conn, const RenderedOutcome &R,
-                    const DaemonFrame &Exit);
-  void reapConnections(bool JoinAll);
+  /// Streams \p R (err text, out text) and then \p Exit, with R's code,
+  /// to the client; false when the client is gone.
+  bool sendOutcome(UnixSocket &Conn, const RenderedOutcome &R,
+                   DaemonFrame Exit = DaemonFrame());
   std::string statusText() const;
   /// Prometheus text rendering of the registry, with gauges refreshed
   /// at render time (the same staleness rule statusText follows).
-  std::string metricsText();
-  /// Atomic (temp + rename) rewrite of Config.MetricsOut.
-  void dumpMetricsFile();
+  std::string metricsText() override;
   void publishGauges();
-  void chat(const char *Fmt, ...);
 
   RealFileSystem &FS;
   DaemonConfig Config;
-  std::string SockPath;
   FileLock Lock;
-  UnixSocket Listener;
   std::unique_ptr<BuildDriver> Driver;
-  std::atomic<bool> Stop{false};
 
   /// Queue state. Mu guards Queue, Draining, LastExit, LastStats, and
   /// every BuildJob's fields; JobsCV wakes the builder, DoneCV wakes
@@ -366,18 +335,6 @@ private:
   std::deque<std::shared_ptr<BuildJob>> Queue;
   bool Draining = false;
   std::thread Builder;
-
-  /// Connection threads, reaped opportunistically from the accept
-  /// loop and fully joined on drain.
-  struct Connection {
-    std::thread T;
-    std::atomic<bool> Finished{false};
-  };
-  std::list<Connection> Connections;
-
-  /// Bumped on every served request; the accept loop uses it to reset
-  /// the idle clock (accept alone also counts as activity).
-  std::atomic<uint64_t> ActivityTick{0};
 
   /// Service counters (atomics: bumped from connection threads and the
   /// builder, read by status from yet other threads).
@@ -390,7 +347,6 @@ private:
     std::atomic<uint64_t> Disconnects{0};
     std::atomic<uint64_t> CancelledOnDrain{0};
     std::atomic<uint32_t> QueueHighWater{0};
-    std::atomic<uint32_t> ActiveConnections{0};
   } Svc;
 
   DaemonFrame LastExit; ///< Exit frame of the most recent build (Mu).

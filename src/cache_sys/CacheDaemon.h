@@ -5,21 +5,14 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The server side of `sccached`: a Unix-domain-socket daemon serving
-/// the CacheProtocol get/put/touch/stats/shutdown verbs over a
-/// CacheStore. Unlike the build daemon (one request at a time against
-/// resident compiler caches), this daemon is a plain concurrent
-/// key-value service: the accept loop hands each connection to its own
-/// thread, connections are persistent (a build issues hundreds of
+/// The server side of `sccached`: a Service answering the CacheProtocol
+/// get/put/touch/stats/metrics/shutdown verbs over a CacheStore.
+/// Unlike the build daemon, this is a plain concurrent key-value
+/// service: connections are persistent (a build issues hundreds of
 /// requests over one connection), and the store's internal lock is the
-/// only serialization point.
-///
-/// Lifecycle mirrors scbuildd: start() binds the socket (unlinking a
-/// stale file after probing it is genuinely dead), serve() loops until
-/// requestStop() — from a signal handler or a client `shutdown` — or
-/// the idle timeout elapses, then joins every connection thread and
-/// unlinks the socket so clients degrade to local-only instead of
-/// hanging.
+/// only serialization point. A connection parked between requests does
+/// not hold the idle clock. The accept loop, connection cap, I/O
+/// deadlines and drain are support/Service's (docs/BUILD_SYSTEM.md).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -28,15 +21,12 @@
 
 #include "cache_sys/CacheStore.h"
 #include "support/Metrics.h"
-#include "support/Socket.h"
+#include "support/Service.h"
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
-#include <vector>
 
 namespace sc {
 
@@ -46,19 +36,17 @@ struct CacheDaemonConfig {
   uint64_t MaxBytes = 0;       ///< LRU budget; 0 = unlimited.
   unsigned IdleTimeoutMs = 0;  ///< Exit after this much quiet; 0 = never.
   /// When non-empty: host path receiving the Prometheus text rendering
-  /// of the cache.* metrics, rewritten atomically (temp + rename) every
-  /// MetricsIntervalMs and once more on exit.
+  /// of the cache.* metrics (Service::MetricsIntervalMs).
   std::string MetricsOut;
-  unsigned MetricsIntervalMs = 1000; ///< Period of the --metrics-out dump.
   bool Quiet = false;          ///< Suppress stderr chatter.
 };
 
-class CacheDaemon {
+class CacheDaemon : public Service {
 public:
   /// \p FS backs the store (RealFileSystem in production; tests may
   /// pass an in-memory one).
   CacheDaemon(VirtualFileSystem &FS, CacheDaemonConfig Config);
-  ~CacheDaemon();
+  ~CacheDaemon() override;
 
   /// Binds the socket and indexes the cache root. False (with \p Err)
   /// when another live sccached owns the socket.
@@ -68,9 +56,6 @@ public:
   /// requestStop(), a client `shutdown`, or idle timeout.
   int serve();
 
-  /// Async-signal-safe stop request.
-  void requestStop() { Stop.store(true); }
-
   const CacheStore &store() const { return *Store; }
 
   /// The daemon's cache.* metrics registry (tests; refreshed from the
@@ -78,27 +63,19 @@ public:
   const MetricsRegistry &metricsRegistry() const { return Metrics; }
 
 private:
-  void chat(const char *Fmt, ...);
   /// One connection's request loop (runs on its own thread).
-  void handleConnection(UnixSocket Conn);
+  void serveConnection(UnixSocket &Conn) override;
+  /// Answers one request; false when the connection must close.
+  bool serveRequest(UnixSocket &Conn, const std::string &Header);
   /// Mirrors the store's lifetime totals into the registry as cache.*
   /// counters/gauges (delta-published so counters stay monotonic).
   void publishMetrics();
   /// Prometheus text of the registry, refreshed at render time.
-  std::string metricsText();
-  /// Registry JSON ({"counters":{},"gauges":{}}), refreshed likewise.
-  std::string metricsJson();
-  /// Atomic (temp + rename) rewrite of Config.MetricsOut.
-  void dumpMetricsFile();
+  std::string metricsText() override;
 
   VirtualFileSystem &FS;
   CacheDaemonConfig Config;
   std::unique_ptr<CacheStore> Store;
-  UnixSocket Listener;
-  std::string SockPath;
-  std::atomic<bool> Stop{false};
-  std::atomic<uint64_t> ActivityTick{0}; ///< Bumped per request; idle reset.
-  std::vector<std::thread> Workers;
 
   /// cache.* metrics, rendered by the `metrics` verb and --metrics-out.
   /// MetricsMu serializes delta publication (connection threads race);

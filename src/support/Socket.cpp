@@ -191,26 +191,27 @@ bool UnixSocket::sendFrame(const std::string &Payload, unsigned TimeoutMs) {
   std::string Wire(reinterpret_cast<char *>(Header), 4);
   Wire += Payload;
   // One deadline for the whole frame (0 = none): a peer that stopped
-  // draining its receive buffer fails the send instead of pinning the
-  // writing thread forever. MSG_DONTWAIT keeps the send itself from
-  // blocking past the poll — waitReady proved writability, so progress
-  // of at least one byte is guaranteed whenever it returns true.
+  // draining its receive buffer, or drains it too slowly, fails the
+  // send instead of pinning the writing thread. Under a deadline the
+  // send never blocks (MSG_DONTWAIT); only a full buffer (EAGAIN) waits
+  // for room, and never past the deadline.
   const auto Deadline =
       TimeoutMs ? Clock::now() + std::chrono::milliseconds(TimeoutMs)
                 : Clock::time_point();
   const int SendFlags = MSG_NOSIGNAL | (TimeoutMs ? MSG_DONTWAIT : 0);
   size_t Off = 0;
   while (Off != Wire.size()) {
-    if (TimeoutMs && !waitReady(FD, POLLOUT, Deadline, nullptr))
-      return false;
     ssize_t N = ::send(FD, Wire.data() + Off, Wire.size() - Off, SendFlags);
-    if (N <= 0) {
-      if (N < 0 && (errno == EINTR || errno == EAGAIN ||
-                    errno == EWOULDBLOCK))
-        continue;
-      return false;
+    if (N > 0) {
+      Off += static_cast<size_t>(N);
+      continue;
     }
-    Off += static_cast<size_t>(N);
+    if (N < 0 && errno == EINTR)
+      continue;
+    if (N < 0 && (errno == EAGAIN || errno == EWOULDBLOCK) &&
+        Clock::now() < Deadline && waitReady(FD, POLLOUT, Deadline, nullptr))
+      continue;
+    return false;
   }
   return true;
 }

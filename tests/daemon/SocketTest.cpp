@@ -193,6 +193,28 @@ TEST(SocketDeadline, TimedSendDeliversToDrainingPeer) {
   EXPECT_EQ(Drained, Sent.size() + 4); // 4-byte length prefix included.
 }
 
+// The send deadline is a total one: a peer that keeps draining, but
+// far too slowly for the frame, cannot stretch the send past it.
+TEST(SocketDeadline, SlowDrainingPeerIsBoundedByTotalDeadline) {
+  SocketPair P;
+  std::atomic<bool> Done{false};
+  std::thread Drainer([&] {
+    char Buf[1024];
+    while (!Done.load()) {
+      if (::recv(P.RawClient, Buf, sizeof(Buf), MSG_DONTWAIT) == 0)
+        break;
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+  });
+  // 8 MiB at ~200 KiB/s would take ~40 s to drain.
+  const auto Start = Clock::now();
+  EXPECT_FALSE(P.Server.sendFrame(std::string(8u << 20, 'd'),
+                                  /*TimeoutMs=*/300));
+  EXPECT_LT(msSince(Start), 3000);
+  Done.store(true);
+  Drainer.join();
+}
+
 //===----------------------------------------------------------------------===//
 // readable()
 //===----------------------------------------------------------------------===//

@@ -28,13 +28,11 @@
 ///   --report-json=FILE    on exit, write the versioned JSON build report of
 ///                         the last build, including the daemon.* service
 ///                         counters from the metrics registry
-///   --metrics-out=FILE    periodically (and on exit) rewrite FILE atomically
+///   --metrics-out=FILE    every second (and on exit) rewrite FILE atomically
 ///                         with the metrics registry in Prometheus text
 ///                         exposition format — a scrape file for collectors
 ///                         that cannot speak the socket protocol; the same
 ///                         text is served live by the `metrics` verb
-///   --metrics-interval-ms=N
-///                         period of the --metrics-out dump (default 1000)
 ///   --remote-cache=SOCKET use the sccached daemon on Unix socket SOCKET
 ///                         as a shared remote object-cache tier (see
 ///                         scbuild --remote-cache; same degrade-to-local
@@ -57,10 +55,8 @@
 #include "support/Metrics.h"
 #include "support/Trace.h"
 
-#include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
@@ -70,15 +66,6 @@
 using namespace sc;
 
 namespace {
-BuildDaemon *ActiveDaemon = nullptr;
-
-void onSignal(int) {
-  // requestStop() is a relaxed atomic store — async-signal-safe. The
-  // serve() loop notices within one accept slice.
-  if (ActiveDaemon)
-    ActiveDaemon->requestStop();
-}
-
 bool parseUnsigned(const char *Text, unsigned &Out) {
   if (!*Text)
     return false;
@@ -123,7 +110,6 @@ int main(int argc, char **argv) {
   };
 
   std::string IdleText, MaxQueueText, ReqTimeoutText, HoldText, ReportOut;
-  std::string MetricsIntervalText;
   for (int I = 1; I < argc; ++I) {
     std::string Arg = argv[I];
     if (FlagValue(Arg, "--trace-stream", I, TraceStream) ||
@@ -135,7 +121,6 @@ int main(int argc, char **argv) {
         FlagValue(Arg, "--hold-ms", I, HoldText) ||
         FlagValue(Arg, "--report-json", I, ReportOut) ||
         FlagValue(Arg, "--metrics-out", I, Config.MetricsOut) ||
-        FlagValue(Arg, "--metrics-interval-ms", I, MetricsIntervalText) ||
         FlagValue(Arg, "--remote-cache", I, Config.Build.RemoteCache))
       continue;
     if (Arg == "-O0")
@@ -174,8 +159,7 @@ int main(int argc, char **argv) {
                    "[--request-timeout-ms=N]\n                "
                    "[--trace-stream=FILE] [--report-json=FILE] "
                    "[--metrics-out=FILE]\n                "
-                   "[--metrics-interval-ms=N] [--remote-cache=SOCKET] "
-                   "[--quiet]\n");
+                   "[--remote-cache=SOCKET] [--quiet]\n");
       return 0;
     } else if (!Arg.empty() && Arg[0] == '-') {
       std::fprintf(stderr, "scbuildd: error: unknown option '%s'\n",
@@ -203,11 +187,8 @@ int main(int argc, char **argv) {
       !ParseMsFlag(MaxQueueText, "--max-queue", Config.MaxQueue) ||
       !ParseMsFlag(ReqTimeoutText, "--request-timeout-ms",
                    Config.RequestTimeoutMs) ||
-      !ParseMsFlag(HoldText, "--hold-ms", Config.HoldMs) ||
-      !ParseMsFlag(MetricsIntervalText, "--metrics-interval-ms",
-                   Config.MetricsIntervalMs))
+      !ParseMsFlag(HoldText, "--hold-ms", Config.HoldMs))
     return 1;
-  Config.MetricsIntervalMs = std::max(1u, Config.MetricsIntervalMs);
 
   RealFileSystem FS(Dir);
 
@@ -242,24 +223,12 @@ int main(int argc, char **argv) {
     return 1;
   }
 
-  // SIGTERM/SIGINT take the exact same path as the `shutdown` verb:
-  // requestStop() flips the stop flag and serve() runs its graceful
-  // drain (finish in-flight, cancel queued with clean frames, join
-  // threads, flush traces, unlink the socket, release the lock).
-  // sigaction without SA_RESTART so a signal interrupts the accept
-  // poll promptly instead of waiting out the slice.
-  ActiveDaemon = &Daemon;
-  struct sigaction SA;
-  std::memset(&SA, 0, sizeof(SA));
-  SA.sa_handler = onSignal;
-  sigemptyset(&SA.sa_mask);
-  ::sigaction(SIGINT, &SA, nullptr);
-  ::sigaction(SIGTERM, &SA, nullptr);
-  std::signal(SIGPIPE, SIG_IGN); // Client death mid-frame must not kill us.
-
+  // SIGTERM/SIGINT take the exact same drain as the `shutdown` verb
+  // (finish in-flight, cancel queued with clean frames, join threads,
+  // flush traces, unlink the socket, release the lock).
+  Service::stopOnSignals(Daemon);
   int Code = Daemon.serve();
 
-  ActiveDaemon = nullptr;
   if (Trace)
     Trace->flush();
   if (Sink)

@@ -26,11 +26,9 @@
 ///                        (default 0 = unlimited); at the budget the
 ///                        least-recently-used entries are evicted
 ///   --idle-timeout-ms=N  exit after N ms without a request (0 = never)
-///   --metrics-out=FILE   periodically (and on exit) rewrite FILE atomically
+///   --metrics-out=FILE   every second (and on exit) rewrite FILE atomically
 ///                        with the cache.* metrics in Prometheus text
 ///                        exposition format
-///   --metrics-interval-ms=N
-///                        period of the --metrics-out dump (default 1000)
 ///   --quiet              suppress lifecycle messages
 ///
 //===----------------------------------------------------------------------===//
@@ -39,8 +37,6 @@
 #include "cache_sys/RemoteCacheClient.h"
 #include "support/FileSystem.h"
 
-#include <algorithm>
-#include <csignal>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -49,15 +45,6 @@
 using namespace sc;
 
 namespace {
-CacheDaemon *ActiveDaemon = nullptr;
-
-void onSignal(int) {
-  // requestStop() is a relaxed atomic store — async-signal-safe. The
-  // serve() loop notices within one accept slice.
-  if (ActiveDaemon)
-    ActiveDaemon->requestStop();
-}
-
 bool parseU64(const char *Text, uint64_t &Out) {
   if (!*Text)
     return false;
@@ -77,7 +64,7 @@ bool parseU64(const char *Text, uint64_t &Out) {
 
 int main(int argc, char **argv) {
   std::string Socket, CacheDir, MetricsOut;
-  uint64_t MaxBytes = 0, IdleMs = 0, MetricsIntervalMs = 1000;
+  uint64_t MaxBytes = 0, IdleMs = 0;
   bool Quiet = false, Stats = false, Shutdown = false;
   bool Json = false, Metrics = false;
 
@@ -101,14 +88,13 @@ int main(int argc, char **argv) {
     return true;
   };
 
-  std::string MaxBytesText, IdleText, MetricsIntervalText;
+  std::string MaxBytesText, IdleText;
   for (int I = 1; I < argc; ++I) {
     std::string Arg = argv[I];
     if (FlagValue(Arg, "--socket", I, Socket) ||
         FlagValue(Arg, "--cache-dir", I, CacheDir) ||
         FlagValue(Arg, "--max-bytes", I, MaxBytesText) ||
         FlagValue(Arg, "--metrics-out", I, MetricsOut) ||
-        FlagValue(Arg, "--metrics-interval-ms", I, MetricsIntervalText) ||
         FlagValue(Arg, "--idle-timeout-ms", I, IdleText))
       continue;
     if (Arg == "--quiet")
@@ -125,8 +111,8 @@ int main(int argc, char **argv) {
       std::fprintf(stderr,
                    "usage: sccached --socket=PATH [--cache-dir=DIR] "
                    "[--max-bytes=N]\n                [--idle-timeout-ms=N] "
-                   "[--metrics-out=FILE] [--metrics-interval-ms=N]\n"
-                   "                [--quiet] [--stats [--json]] [--metrics] "
+                   "[--metrics-out=FILE] [--quiet]\n"
+                   "                [--stats [--json]] [--metrics] "
                    "[--shutdown]\n");
       return 0;
     } else {
@@ -153,14 +139,6 @@ int main(int argc, char **argv) {
                  "sccached: error: option '--idle-timeout-ms' requires a "
                  "non-negative integer (got '%s')\n",
                  IdleText.c_str());
-    return 1;
-  }
-  if (!MetricsIntervalText.empty() &&
-      !parseU64(MetricsIntervalText.c_str(), MetricsIntervalMs)) {
-    std::fprintf(stderr,
-                 "sccached: error: option '--metrics-interval-ms' requires a "
-                 "non-negative integer (got '%s')\n",
-                 MetricsIntervalText.c_str());
     return 1;
   }
 
@@ -269,8 +247,6 @@ int main(int argc, char **argv) {
   Config.MaxBytes = MaxBytes;
   Config.IdleTimeoutMs = static_cast<unsigned>(IdleMs);
   Config.MetricsOut = MetricsOut;
-  Config.MetricsIntervalMs =
-      std::max<unsigned>(1, static_cast<unsigned>(MetricsIntervalMs));
   Config.Quiet = Quiet;
 
   CacheDaemon Daemon(FS, Config);
@@ -280,12 +256,6 @@ int main(int argc, char **argv) {
     return 1;
   }
 
-  ActiveDaemon = &Daemon;
-  std::signal(SIGINT, onSignal);
-  std::signal(SIGTERM, onSignal);
-  std::signal(SIGPIPE, SIG_IGN); // Client death mid-frame must not kill us.
-
-  int Code = Daemon.serve();
-  ActiveDaemon = nullptr;
-  return Code;
+  Service::stopOnSignals(Daemon);
+  return Daemon.serve();
 }
