@@ -55,6 +55,12 @@ struct SweepParam {
   uint64_t Seed;
 };
 
+/// Without this gtest prints the raw bytes of the parameter, pointers
+/// included, so the listed test names would change with every run.
+void PrintTo(const SweepParam &Param, std::ostream *OS) {
+  *OS << Param.PassName << "/" << Param.Seed;
+}
+
 class PassPreservation : public ::testing::TestWithParam<SweepParam> {};
 
 } // namespace
