@@ -852,13 +852,16 @@ BuildStats BuildDriverImpl::build() {
   const uint64_t LinkT0 = nowNanos();
   BuildPhase.enter(LinkFrame);
   Link.start();
+  // Every TU reaching link was, this build, either validated against
+  // its disk bytes at scan or stored/fetched: link from those in-memory
+  // modules instead of reading and hashing each object a second time.
   std::vector<const MModule *> LinkSet;
   LinkSet.reserve(Graph.topologicalOrder().size());
   std::string LinkErrors;
   uint64_t ObjectBytes = 0;
   for (const std::string &Path : Graph.topologicalOrder()) {
     const ManifestEntry *E = Manifest.lookup(Path);
-    const MModule *Obj = E ? Objects.load(Path, E->ObjectHash) : nullptr;
+    const MModule *Obj = E ? Objects.resident(Path, E->ObjectHash) : nullptr;
     if (!Obj) {
       LinkErrors += "build error: object for '" + Path +
                     "' vanished during the build\n";

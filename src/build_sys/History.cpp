@@ -14,6 +14,8 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
+#include <string_view>
 
 using namespace sc;
 
@@ -102,6 +104,24 @@ uint64_t parseU64Number(JsonCursor &C) {
   return V > 0 ? static_cast<uint64_t>(V) : 0;
 }
 
+/// Every ledger line opens with this, so a line that does not is
+/// rejected without a parse.
+constexpr std::string_view SchemaTag = "{\"schema\":\"scbuild-history\"";
+
+/// The record body of \p Line — every byte before its `,"crc"` suffix
+/// — iff the line is complete and the body matches its checksum.
+std::optional<std::string_view> checksummedBody(std::string_view Line) {
+  const size_t Pos = Line.rfind(",\"crc\":\"");
+  // 8 = strlen(",\"crc\":\""), 16 hex digits, then "\"}".
+  if (Pos == std::string_view::npos || Line.size() != Pos + 8 + 16 + 2 ||
+      Line.substr(Line.size() - 2) != "\"}")
+    return std::nullopt;
+  const std::string_view Body = Line.substr(0, Pos);
+  if (hex16(HashBuilder().addString(Body).digest()) != Line.substr(Pos + 8, 16))
+    return std::nullopt;
+  return Body;
+}
+
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -109,7 +129,7 @@ uint64_t parseU64Number(JsonCursor &C) {
 //===----------------------------------------------------------------------===//
 
 std::string BuildHistory::serializeRecord(const HistoryRecord &R) {
-  std::string O = "{\"schema\":\"scbuild-history\",\"schema_version\":" +
+  std::string O = std::string(SchemaTag) + ",\"schema_version\":" +
                   std::to_string(R.SchemaVersion) +
                   ",\"build\":" + std::to_string(R.BuildId) +
                   ",\"unix_ms\":" + std::to_string(R.UnixMs);
@@ -202,16 +222,11 @@ std::string BuildHistory::serializeRecord(const HistoryRecord &R) {
 }
 
 bool BuildHistory::parseRecord(const std::string &Line, HistoryRecord &Out) {
-  const size_t Pos = Line.rfind(",\"crc\":\"");
-  // 8 = strlen(",\"crc\":\""), 16 hex digits, then "\"}".
-  if (Pos == std::string::npos || Line.size() != Pos + 8 + 16 + 2 ||
-      Line.compare(Line.size() - 2, 2, "\"}") != 0)
-    return false;
-  const std::string Body = Line.substr(0, Pos);
-  if (hex16(HashBuilder().addString(Body).digest()) != Line.substr(Pos + 8, 16))
+  std::optional<std::string_view> Body = checksummedBody(Line);
+  if (!Body)
     return false;
 
-  const std::string Doc = Body + "}";
+  const std::string Doc = std::string(*Body) + "}";
   HistoryRecord R;
   bool SchemaOK = false;
   JsonCursor C(Doc);
@@ -330,70 +345,78 @@ bool BuildHistory::parseRecord(const std::string &Line, HistoryRecord &Out) {
 
 namespace {
 
-/// Splits the ledger into lines, keeping each valid line's raw text
-/// (old records are preserved byte-for-byte across rewrites) and its
-/// parsed form; damaged lines are counted.
-struct LedgerScan {
-  std::vector<std::string> RawLines;
-  std::vector<HistoryRecord> Records;
-  uint64_t Skipped = 0;
-  uint64_t LastId = 0;
-};
-
-LedgerScan scanLedger(VirtualFileSystem &FS, const std::string &Path) {
-  LedgerScan Out;
+/// Calls \p OnLine with each non-empty line of the ledger at \p Path
+/// (a missing file has none). The one splitter load() and append()
+/// share.
+template <typename Fn>
+void forEachLedgerLine(VirtualFileSystem &FS, const std::string &Path,
+                       Fn OnLine) {
   std::optional<std::string> Content = FS.readFile(Path);
   if (!Content)
-    return Out;
+    return;
   size_t Pos = 0;
   while (Pos < Content->size()) {
     size_t End = Content->find('\n', Pos);
     if (End == std::string::npos)
       End = Content->size();
-    std::string Line = Content->substr(Pos, End - Pos);
+    if (End != Pos)
+      OnLine(Content->substr(Pos, End - Pos));
     Pos = End + 1;
-    if (Line.empty())
-      continue;
-    HistoryRecord R;
-    if (!BuildHistory::parseRecord(Line, R)) {
-      ++Out.Skipped;
-      continue;
-    }
-    Out.LastId = std::max(Out.LastId, R.BuildId);
-    Out.RawLines.push_back(std::move(Line));
-    Out.Records.push_back(std::move(R));
   }
-  return Out;
 }
 
 } // namespace
 
 HistoryLoadResult BuildHistory::load(VirtualFileSystem &FS,
                                      const std::string &Path) {
-  LedgerScan Scan = scanLedger(FS, Path);
   HistoryLoadResult Out;
-  Out.Records = std::move(Scan.Records);
-  Out.Skipped = Scan.Skipped;
+  forEachLedgerLine(FS, Path, [&](std::string Line) {
+    HistoryRecord R;
+    if (parseRecord(Line, R))
+      Out.Records.push_back(std::move(R));
+    else
+      ++Out.Skipped;
+  });
   return Out;
 }
 
 bool BuildHistory::append(VirtualFileSystem &FS, const std::string &Path,
                           HistoryRecord &R, unsigned Limit,
                           uint64_t *SkippedOut) {
-  LedgerScan Scan = scanLedger(FS, Path);
+  // Old records are kept byte for byte: a line needs only its checksum
+  // and schema tag to survive. Only the newest one is parsed, for the
+  // id to continue from; if it parses badly it is dropped like any
+  // other damaged line and the next newest is tried.
+  std::vector<std::string> Lines;
+  uint64_t Skipped = 0;
+  forEachLedgerLine(FS, Path, [&](std::string Line) {
+    if (checksummedBody(Line) &&
+        Line.compare(0, SchemaTag.size(), SchemaTag) == 0)
+      Lines.push_back(std::move(Line));
+    else
+      ++Skipped;
+  });
+  uint64_t LastId = 0;
+  while (!Lines.empty()) {
+    HistoryRecord Newest;
+    if (parseRecord(Lines.back(), Newest)) {
+      LastId = Newest.BuildId;
+      break;
+    }
+    Lines.pop_back();
+    ++Skipped;
+  }
   if (SkippedOut)
-    *SkippedOut = Scan.Skipped;
+    *SkippedOut = Skipped;
   if (R.BuildId == 0)
-    R.BuildId = Scan.LastId + 1;
-  Scan.RawLines.push_back(serializeRecord(R));
+    R.BuildId = LastId + 1;
+  Lines.push_back(serializeRecord(R));
   // --history-limit: drop the oldest records in the same rewrite.
   const size_t Keep = Limit ? Limit : 1;
-  if (Scan.RawLines.size() > Keep)
-    Scan.RawLines.erase(Scan.RawLines.begin(),
-                        Scan.RawLines.end() - static_cast<long>(Keep));
+  const size_t First = Lines.size() > Keep ? Lines.size() - Keep : 0;
   std::string Content;
-  for (const std::string &Line : Scan.RawLines) {
-    Content += Line;
+  for (size_t I = First; I != Lines.size(); ++I) {
+    Content += Lines[I];
     Content += '\n';
   }
   return atomicWriteFile(FS, Path, Content);

@@ -14,12 +14,14 @@
 /// schema and its versioning policy.
 ///
 /// Durability model: the VFS has no append primitive, so an append is
-/// load + concat + atomicWriteFile — the same temp+fsync+rename path
-/// every other artifact takes, which also gives `--history-limit`
-/// truncation for free (drop the oldest lines in the same rewrite).
-/// Each line carries a content checksum (`"crc"`); loading skips and
-/// counts lines that are torn, truncated, or fail their checksum, so
-/// a writer that died mid-rename can never poison earlier records.
+/// read + concat + atomicWriteFile — the same temp
+/// (`<path>.tmp.<pid>.<n>`) + fsync + rename path every other artifact
+/// takes, which also gives `--history-limit` truncation for free (drop
+/// the oldest lines in the same rewrite). Each line carries a content
+/// checksum (`"crc"`); loading and appending skip and count lines that
+/// are torn, truncated, or fail their checksum, so a writer that died
+/// mid-rename can never poison earlier records. An append keeps the
+/// surviving lines byte for byte and parses only the newest one.
 /// Ledger I/O is observation, not build state: any failure costs one
 /// warning and a counter, never the build.
 ///
@@ -124,10 +126,12 @@ public:
   static HistoryLoadResult load(VirtualFileSystem &FS,
                                 const std::string &Path);
 
-  /// Appends \p R, assigning it the next BuildId (last valid + 1) and
+  /// Appends \p R, assigning it the next BuildId (newest valid + 1) and
   /// retaining at most \p Limit records (oldest dropped) in one atomic
-  /// rewrite. \p SkippedOut (optional) reports damaged lines dropped.
-  /// Returns false when the rewrite itself failed.
+  /// rewrite. Lines that fail their checksum or lack the schema tag are
+  /// dropped; of the rest only the newest is parsed. \p SkippedOut
+  /// (optional) reports damaged lines dropped. Returns false when the
+  /// rewrite itself failed.
   static bool append(VirtualFileSystem &FS, const std::string &Path,
                      HistoryRecord &R, unsigned Limit,
                      uint64_t *SkippedOut = nullptr);

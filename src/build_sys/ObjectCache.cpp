@@ -57,17 +57,19 @@ bool ObjectCache::storeFetched(const std::string &SourcePath,
 
 bool ObjectCache::serializedBytes(const std::string &SourcePath,
                                   uint64_t ExpectedHash, std::string &Out) {
-  if (std::optional<std::string> Bytes = FS.readFile(objectPath(SourcePath));
-      Bytes && hashString(*Bytes) == ExpectedHash) {
-    Out = std::move(*Bytes);
-    return true;
+  {
+    std::lock_guard<std::mutex> Lock(Mu);
+    if (const MModule *Obj = residentLocked(SourcePath, ExpectedHash)) {
+      Out = writeObject(*Obj);
+      if (hashString(Out) == ExpectedHash)
+        return true;
+    }
   }
-  std::lock_guard<std::mutex> Lock(Mu);
-  auto It = Mem.find(SourcePath);
-  if (It == Mem.end() || It->second.Hash != ExpectedHash)
+  std::optional<std::string> Bytes = FS.readFile(objectPath(SourcePath));
+  if (!Bytes || hashString(*Bytes) != ExpectedHash)
     return false;
-  Out = writeObject(It->second.Object);
-  return hashString(Out) == ExpectedHash;
+  Out = std::move(*Bytes);
+  return true;
 }
 
 const MModule *ObjectCache::load(const std::string &SourcePath,
@@ -97,9 +99,8 @@ const MModule *ObjectCache::load(const std::string &SourcePath,
     return nullptr;
   }
   std::lock_guard<std::mutex> Lock(Mu);
-  auto It = Mem.find(SourcePath);
-  if (It != Mem.end() && It->second.Hash == ExpectedHash)
-    return &It->second.Object;
+  if (const MModule *Obj = residentLocked(SourcePath, ExpectedHash))
+    return Obj;
   std::optional<MModule> Parsed = readObject(*Bytes);
   ++Deserializations;
   if (!Parsed) {
@@ -109,6 +110,20 @@ const MModule *ObjectCache::load(const std::string &SourcePath,
   Cached &C = Mem[SourcePath];
   C = {ExpectedHash, Bytes->size(), false, std::move(*Parsed)};
   return &C.Object;
+}
+
+const MModule *ObjectCache::resident(const std::string &SourcePath,
+                                     uint64_t ExpectedHash) const {
+  std::lock_guard<std::mutex> Lock(Mu);
+  return residentLocked(SourcePath, ExpectedHash);
+}
+
+const MModule *ObjectCache::residentLocked(const std::string &SourcePath,
+                                           uint64_t ExpectedHash) const {
+  auto It = Mem.find(SourcePath);
+  return It != Mem.end() && It->second.Hash == ExpectedHash
+             ? &It->second.Object
+             : nullptr;
 }
 
 bool ObjectCache::allStoresPersisted() const {

@@ -62,9 +62,10 @@ public:
                     uint64_t ExpectedDigest);
 
   /// Copies the serialized bytes whose hash is \p ExpectedHash into
-  /// \p Out — from disk when the on-disk bytes verify, else by
-  /// re-serializing the memory entry. False when neither source
-  /// matches. For publishing an already-built TU to the remote cache.
+  /// \p Out — by re-serializing the memory entry when it matches, else
+  /// from disk when the on-disk bytes verify. False when neither source
+  /// matches. For publishing an already-built TU to the remote cache
+  /// without reading back an object the build already validated.
   bool serializedBytes(const std::string &SourcePath, uint64_t ExpectedHash,
                        std::string &Out);
 
@@ -75,6 +76,14 @@ public:
   /// memory when the hash matches. The pointer stays valid until the
   /// entry is stored over, invalidated, or the cache is cleared.
   const MModule *load(const std::string &SourcePath, uint64_t ExpectedHash);
+
+  /// The parsed object held in memory for \p SourcePath iff its hash is
+  /// \p ExpectedHash; null otherwise. Reads no file and hashes nothing,
+  /// so it proves only what the caller already proved this build: that
+  /// the entry came from a load() that checked the disk bytes, or from
+  /// store() / storeFetched(). Same pointer lifetime as load().
+  const MModule *resident(const std::string &SourcePath,
+                          uint64_t ExpectedHash) const;
 
   /// In read-only mode (another process holds the build lock) store()
   /// keeps entries memory-only and invalidate() leaves files on disk.
@@ -115,6 +124,10 @@ private:
     bool MemOnly = false;  // Not on disk (failed or suppressed write).
     MModule Object;
   };
+
+  /// resident() for callers that already hold Mu.
+  const MModule *residentLocked(const std::string &SourcePath,
+                                uint64_t ExpectedHash) const;
 
   VirtualFileSystem &FS;
   std::string OutDir;

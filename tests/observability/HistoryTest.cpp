@@ -20,9 +20,12 @@
 #include "build_sys/History.h"
 #include "support/FaultyFileSystem.h"
 #include "support/FileSystem.h"
+#include "support/Hashing.h"
 #include "support/Metrics.h"
 
 #include <gtest/gtest.h>
+
+#include <cstdio>
 
 using namespace sc;
 
@@ -192,6 +195,117 @@ TEST(HistoryLedger, MissingFileIsEmptyLedger) {
   HistoryLoadResult L = BuildHistory::load(FS, LedgerPath);
   EXPECT_EQ(L.Records.size(), 0u);
   EXPECT_EQ(L.Skipped, 0u);
+}
+
+namespace {
+
+/// A ledger file holding records 1..N, written directly (no appends).
+std::vector<std::string> writeLedger(VirtualFileSystem &FS, unsigned N) {
+  std::vector<std::string> Lines;
+  std::string Content;
+  for (unsigned I = 1; I <= N; ++I) {
+    HistoryRecord R = sampleRecord();
+    R.BuildId = I;
+    Lines.push_back(BuildHistory::serializeRecord(R));
+    Content += Lines.back() + "\n";
+  }
+  FS.writeFile(LedgerPath, Content);
+  return Lines;
+}
+
+std::vector<std::string> ledgerLines(VirtualFileSystem &FS) {
+  std::vector<std::string> Lines;
+  std::string Content = FS.readFile(LedgerPath).value_or("");
+  for (size_t Pos = 0, End; Pos < Content.size(); Pos = End + 1) {
+    End = Content.find('\n', Pos);
+    Lines.push_back(Content.substr(Pos, End - Pos));
+  }
+  return Lines;
+}
+
+/// A line whose checksum verifies but whose body is not a record.
+std::string checksummedGarbage() {
+  const std::string Body =
+      "{\"schema\":\"scbuild-history\",\"build\":[unterminated";
+  char Crc[32];
+  std::snprintf(Crc, sizeof(Crc), "%016llx",
+                static_cast<unsigned long long>(
+                    HashBuilder().addString(Body).digest()));
+  return Body + ",\"crc\":\"" + Crc + "\"}";
+}
+
+} // namespace
+
+TEST(HistoryLedger, DamagedMiddleLineDroppedOthersKeptByteForByte) {
+  InMemoryFileSystem FS;
+  constexpr unsigned Limit = 9;
+  std::vector<std::string> Lines = writeLedger(FS, Limit);
+  std::string Ledger;
+  for (size_t I = 0; I != Lines.size(); ++I) {
+    std::string Line = Lines[I];
+    if (I == 4)
+      Line[Line.size() / 2] ^= 1; // One flipped bit mid-record.
+    Ledger += Line + "\n";
+  }
+  FS.writeFile(LedgerPath, Ledger);
+
+  HistoryRecord R = sampleRecord();
+  uint64_t Skipped = 0;
+  ASSERT_TRUE(BuildHistory::append(FS, LedgerPath, R, Limit, &Skipped));
+  EXPECT_EQ(Skipped, 1u);
+  EXPECT_EQ(R.BuildId, Limit + 1);
+
+  // The ledger was full, so the damaged line's slot goes to the new
+  // record; nothing else is dropped and nothing else is rewritten.
+  std::vector<std::string> After = ledgerLines(FS);
+  ASSERT_EQ(After.size(), Limit);
+  Lines.erase(Lines.begin() + 4);
+  for (size_t I = 0; I != Lines.size(); ++I)
+    EXPECT_EQ(After[I], Lines[I]) << "retained line " << I << " changed";
+  EXPECT_EQ(After.back(), BuildHistory::serializeRecord(R));
+  EXPECT_EQ(BuildHistory::load(FS, LedgerPath).Skipped, 0u);
+}
+
+TEST(HistoryLedger, DamagedNewestLineNeverReusesAnId) {
+  const std::string Damaged[] = {
+      "torn", // Fails its checksum.
+      checksummedGarbage(), // Checksum holds, record does not parse.
+  };
+  for (const std::string &Bad : Damaged) {
+    SCOPED_TRACE(Bad);
+    InMemoryFileSystem FS;
+    writeLedger(FS, 3);
+    // Newest surviving record is 3; the damaged line comes after it.
+    FS.writeFile(LedgerPath, *FS.readFile(LedgerPath) + Bad + "\n");
+
+    HistoryRecord R = sampleRecord();
+    uint64_t Skipped = 0;
+    ASSERT_TRUE(BuildHistory::append(FS, LedgerPath, R, 10, &Skipped));
+    EXPECT_EQ(Skipped, 1u);
+    EXPECT_EQ(R.BuildId, 4u);
+    HistoryLoadResult L = BuildHistory::load(FS, LedgerPath);
+    EXPECT_EQ(L.Skipped, 0u);
+    ASSERT_EQ(L.Records.size(), 4u);
+    for (size_t I = 0; I != L.Records.size(); ++I)
+      EXPECT_EQ(L.Records[I].BuildId, I + 1);
+  }
+}
+
+TEST(HistoryLedger, FullDefaultLedgerStaysAtLimitAfterAppend) {
+  InMemoryFileSystem FS;
+  const unsigned Limit = BuildOptions().HistoryLimit;
+  ASSERT_EQ(Limit, 512u);
+  std::vector<std::string> Lines = writeLedger(FS, Limit);
+
+  HistoryRecord R = sampleRecord();
+  uint64_t Skipped = 0;
+  ASSERT_TRUE(BuildHistory::append(FS, LedgerPath, R, Limit, &Skipped));
+  EXPECT_EQ(Skipped, 0u);
+  EXPECT_EQ(R.BuildId, Limit + 1);
+  std::vector<std::string> After = ledgerLines(FS);
+  ASSERT_EQ(After.size(), Limit);
+  EXPECT_EQ(After.front(), Lines[1]); // Oldest record dropped.
+  EXPECT_EQ(After[Limit - 2], Lines.back());
 }
 
 //===--- Builds append on every exit ---------------------------------------===//
