@@ -226,10 +226,10 @@ BENCHMARK(BM_CompileTU_TraceDisabled);
 
 void BM_CompileTU_SamplingOff(benchmark::State &State) {
   // The `--profile-sample-hz=0` guarantee: with tracing ON but
-  // sampling OFF, every SampleFrame site (build phases, compile
-  // phases, per-pass) must cost exactly one relaxed load — no stack
-  // maintenance, no allocation. Compare against an enabled-recorder
-  // run; the delta is the sampling hooks alone.
+  // sampling OFF, every TraceSpan scope (build phases, compile
+  // phases, per-pass) pays exactly one relaxed load for its sampling
+  // frame — no stack maintenance, no allocation. Compare against an
+  // enabled-recorder run; the delta is the sampling hooks alone.
   static const std::string Src = representativeSource();
   TraceRecorder Trace(/*StartEnabled=*/true, 1u << 12);
   CompilerOptions Options;

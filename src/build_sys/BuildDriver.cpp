@@ -29,7 +29,6 @@
 #include "support/Metrics.h"
 #include "support/SamplingProfiler.h"
 #include "support/TaskPool.h"
-#include "support/Timer.h"
 #include "support/Trace.h"
 
 #include <algorithm>
@@ -139,8 +138,15 @@ private:
   /// called on every exit path so even failed builds leave their
   /// completed work persisted. Write failures surface as warnings on
   /// \p S, never as build failures; read-only builds skip all writes.
-  /// Returns the state DB size.
-  uint64_t persist(Timer &StateIO, BuildStats &S);
+  /// Returns the state DB size. Timed as the stateSave span, charged
+  /// to S.StateIOUs.
+  uint64_t persist(BuildStats &S);
+
+  /// Runs stateLoad, scan, compile, remote sync, link, dependency
+  /// verification and persist, each phase a timed scope that charges
+  /// its BuildStats field. Returns at the first failing phase with
+  /// S.ErrorText set; every scope has closed by then.
+  void runPhases(BuildStats &S);
 
   VirtualFileSystem &FS;
   BuildOptions Options;
@@ -226,18 +232,12 @@ private:
 
 } // namespace sc
 
-uint64_t BuildDriverImpl::persist(Timer &StateIO, BuildStats &S) {
-  const uint64_t T0 = nowNanos();
-  static const std::string StateSaveFrame("stateSave");
-  SampleFrame Frame(trace(), "build", StateSaveFrame);
-  StateIO.start();
+uint64_t BuildDriverImpl::persist(BuildStats &S) {
+  TraceSpan Save(trace(), "build", "stateSave", &S.StateIOUs);
+  // Nothing may be written; report the in-memory state size.
+  if (ReadOnlyBuild)
+    return stateful() ? DB.sizeBytes() : 0;
   uint64_t StateBytes = 0;
-  if (ReadOnlyBuild) {
-    // Nothing may be written; report the in-memory state size.
-    StateBytes = stateful() ? DB.sizeBytes() : 0;
-    StateIO.stop();
-    return StateBytes;
-  }
   if (!Manifest.saveToFile(FS, manifestPath()))
     warn(S, FS,
          "failed to persist '" + manifestPath() +
@@ -261,9 +261,6 @@ uint64_t BuildDriverImpl::persist(Timer &StateIO, BuildStats &S) {
     warn(S, FS,
          "one or more object files could not be written under '" +
              Options.OutDir + "'; affected TUs recompile next build");
-  StateIO.stop();
-  if (tracing())
-    trace()->span("build", "stateSave", T0, nowNanos());
   return StateBytes;
 }
 
@@ -403,9 +400,6 @@ void BuildDriverImpl::appendHistory(BuildStats &S, uint64_t BuildStartNs) {
 BuildStats BuildDriverImpl::build() {
   BuildStats S;
   BuildStartSnap = captureHotPathSnapshots();
-  Timer Total, Scan, Compile, Link, StateIO;
-  Total.start();
-  const uint64_t BuildT0 = nowNanos();
 
   // Wall-time sampling overlay: started per build so its aggregates
   // land inside this build's trace window (and history record). It
@@ -422,14 +416,6 @@ BuildStats BuildDriverImpl::build() {
 
   TraceSpan BuildSpan(trace(), "build", "build");
   PendingDecisions.clear();
-
-  // The build-phase spans (stateLoad/scan/compile/link) are recorded
-  // retroactively, so this frame tells the sampling profiler which
-  // phase the driver thread is in; entered at each region boundary
-  // below, unwound by its destructor on the early-return paths.
-  static const std::string StateLoadFrame("stateLoad"), ScanFrame("scan"),
-      CompileFrame("compile"), LinkFrame("link");
-  SampleFrame BuildPhase(trace(), "build");
 
   // Advisory lock: one writing build per state directory. On timeout
   // degrade to a read-only build — correct output, nothing persisted —
@@ -450,15 +436,13 @@ BuildStats BuildDriverImpl::build() {
       DaemonPid = Owner->Pid;
     }
     if (!DaemonOwned) {
-      const uint64_t LockT0 = nowNanos();
+      TraceSpan LockSpan(trace(), "build", "lock");
       Lock = FileLock::acquire(FS, lockPath(), Options.LockTimeoutMs,
                                Options.LockBackoffMs);
       if (tracing())
-        trace()->span("build", "lock", LockT0, nowNanos(),
-                      std::string("{\"held\":") +
-                          (Lock.held() ? "true" : "false") +
-                          ",\"reclaimed\":" +
-                          (Lock.reclaimedStale() ? "true" : "false") + "}");
+        LockSpan.args(std::string("{\"held\":") +
+                      (Lock.held() ? "true" : "false") + ",\"reclaimed\":" +
+                      (Lock.reclaimedStale() ? "true" : "false") + "}");
     }
   }
   ReadOnlyBuild = !Options.ExternalLock && !Lock.held();
@@ -505,37 +489,35 @@ BuildStats BuildDriverImpl::build() {
   const uint64_t ScanHits0 = Scanner.cacheHits();
   const uint64_t ScanMisses0 = Scanner.cacheMisses();
   const uint64_t Parses0 = Objects.deserializations();
-  auto FinishCacheCounters = [&] {
-    S.ScanCacheHits = Scanner.cacheHits() - ScanHits0;
-    S.InterfaceScans = Scanner.cacheMisses() - ScanMisses0;
-    S.ObjectsParsed = Objects.deserializations() - Parses0;
-  };
 
-  // Shared tail of every exit path (error or success): cache-counter
-  // deltas, profiler teardown, trace-drop accounting (exactly one
-  // warning when the ring overflowed), metrics publication, and the
-  // history-ledger append.
-  auto FinishBuild = [&] {
-    FinishCacheCounters();
-    if (Profiler)
-      Profiler->stop(); // Folds sample aggregates into the trace.
-    if (tracing()) {
-      S.TraceEventsDropped = trace()->droppedEvents() - TraceDropped0;
-      if (S.TraceEventsDropped)
-        warn(S, FS,
-             "trace ring overflowed; " +
-                 std::to_string(S.TraceEventsDropped) +
-                 " event(s) were dropped — the emitted trace is truncated "
-                 "(oldest events lost first)");
-    }
-    publishMetrics(S);
-    appendHistory(S, BuildT0);
-  };
+  runPhases(S);
+  S.TotalUs = static_cast<double>(BuildSpan.elapsedNs()) / 1000.0;
 
+  // The one exit path (error or success): cache-counter deltas,
+  // profiler teardown, trace-drop accounting (exactly one warning when
+  // the ring overflowed), metrics publication, and the history-ledger
+  // append. The build span itself closes after all of it.
+  S.ScanCacheHits = Scanner.cacheHits() - ScanHits0;
+  S.InterfaceScans = Scanner.cacheMisses() - ScanMisses0;
+  S.ObjectsParsed = Objects.deserializations() - Parses0;
+  if (Profiler)
+    Profiler->stop(); // Folds sample aggregates into the trace.
+  if (tracing()) {
+    S.TraceEventsDropped = trace()->droppedEvents() - TraceDropped0;
+    if (S.TraceEventsDropped)
+      warn(S, FS,
+           "trace ring overflowed; " + std::to_string(S.TraceEventsDropped) +
+               " event(s) were dropped — the emitted trace is truncated "
+               "(oldest events lost first)");
+  }
+  publishMetrics(S);
+  appendHistory(S, BuildSpan.startNs());
+  return S;
+}
+
+void BuildDriverImpl::runPhases(BuildStats &S) {
   if (!PersistentLoaded) {
-    const uint64_t LoadT0 = nowNanos();
-    BuildPhase.enter(StateLoadFrame);
-    StateIO.start();
+    TraceSpan Load(trace(), "build", "stateLoad", &S.StateIOUs);
     if (stateful()) {
       // Missing store: quiet cold build. Damaged store: cold build
       // with a warning. Partially damaged store: per-segment salvage —
@@ -571,18 +553,13 @@ BuildStats BuildDriverImpl::build() {
              "manifest '" + manifestPath() +
                  "' was unreadable or damaged; full recompile");
     }
-    StateIO.stop();
-    if (tracing())
-      trace()->span("build", "stateLoad", LoadT0, nowNanos());
     PersistentLoaded = true;
   }
   Scanner.trim();
 
   //===--- Scan: sources, interfaces, import DAG, dirty set ---------------===//
 
-  const uint64_t ScanT0 = nowNanos();
-  BuildPhase.enter(ScanFrame);
-  Scan.start();
+  TraceSpan ScanSpan(trace(), "build", "scan", &S.ScanUs);
   std::map<std::string, std::string> Sources;
   for (const std::string &Path : FS.listFiles()) {
     if (!isSourcePath(Path, Options.OutDir))
@@ -614,13 +591,8 @@ BuildStats BuildDriverImpl::build() {
 
   ImportGraph Graph = ImportGraph::build(Scans);
   if (!Graph.valid()) {
-    Scan.stop();
-    Total.stop();
     S.ErrorText = "build error: " + Graph.error();
-    S.ScanUs = Scan.micros();
-    S.TotalUs = Total.micros();
-    FinishBuild();
-    return S;
+    return;
   }
 
   // An import that resolves to no source file (deleted, or never
@@ -672,7 +644,7 @@ BuildStats BuildDriverImpl::build() {
     // compiler entirely.
     if (RemoteCacheClient *RC = remote(S)) {
       const uint64_t Key = inputKey(SR->ContentHash, ImportsEff, Config);
-      const uint64_t FetchT0 = nowNanos();
+      TraceSpan Fetch(trace(), "remote", "fetch");
       uint64_t Digest = 0;
       std::string Bytes;
       RemoteCacheClient::Result R = RC->fetch(Key, Digest, Bytes);
@@ -686,8 +658,7 @@ BuildStats BuildDriverImpl::build() {
         NE.ConfigHash = Config;
         Manifest.update(Path, NE);
         if (tracing())
-          trace()->span("remote", "fetch", FetchT0, nowNanos(),
-                        "{\"path\":\"" + Path + "\",\"hit\":true}");
+          Fetch.args("{\"path\":\"" + Path + "\",\"hit\":true}");
         continue;
       }
       if (R == RemoteCacheClient::Result::Error) {
@@ -697,24 +668,20 @@ BuildStats BuildDriverImpl::build() {
         // client's verification makes equivalent to one.
         ++S.RemoteMisses;
         if (tracing())
-          trace()->span("remote", "fetch", FetchT0, nowNanos(),
-                        "{\"path\":\"" + Path + "\",\"hit\":false}");
+          Fetch.args("{\"path\":\"" + Path + "\",\"hit\":false}");
       }
     }
     Dirty.push_back(Path);
   }
-  Scan.stop();
   S.DirtyTUs = Dirty;
   if (tracing())
-    trace()->span("build", "scan", ScanT0, nowNanos(),
-                  "{\"files\":" + std::to_string(S.FilesTotal) +
-                      ",\"dirty\":" + std::to_string(Dirty.size()) + "}");
+    ScanSpan.args("{\"files\":" + std::to_string(S.FilesTotal) +
+                  ",\"dirty\":" + std::to_string(Dirty.size()) + "}");
+  ScanSpan.end();
 
   //===--- Compile: dirty TUs in topological order, Jobs workers ----------===//
 
-  const uint64_t CompileT0 = nowNanos();
-  BuildPhase.enter(CompileFrame);
-  Compile.start();
+  TraceSpan CompileSpan(trace(), "build", "compile", &S.CompileUs);
   std::vector<CompileJob> Jobs;
   Jobs.reserve(Dirty.size());
   for (const std::string &Path : Dirty) {
@@ -732,10 +699,9 @@ BuildStats BuildDriverImpl::build() {
   CO.FPMemo = &FPMemo;
   std::vector<CompileResult> Results =
       compileInParallel(Jobs, CO, stateful() ? &DB : nullptr, *Pool);
-  Compile.stop();
   if (tracing())
-    trace()->span("build", "compile", CompileT0, nowNanos(),
-                  "{\"jobs\":" + std::to_string(Jobs.size()) + "}");
+    CompileSpan.args("{\"jobs\":" + std::to_string(Jobs.size()) + "}");
+  CompileSpan.end();
 
   // Fault containment: a failed TU never aborts the others — the whole
   // wave already ran, every successful TU's object and state are kept,
@@ -792,7 +758,7 @@ BuildStats BuildDriverImpl::build() {
   // cold fleet cache (without recompiling anything). Any failure
   // degrades the tier and abandons the rest of the sync.
   if (remote(S)) {
-    const uint64_t SyncT0 = nowNanos();
+    TraceSpan Sync(trace(), "remote", "sync");
     uint64_t Touched = 0;
     for (PendingPublish &P : ToPublish) {
       RemoteCacheClient *RC = remote(S);
@@ -830,28 +796,19 @@ BuildStats BuildDriverImpl::build() {
       }
     }
     if (tracing())
-      trace()->span("remote", "sync", SyncT0, nowNanos(),
-                    "{\"published\":" + std::to_string(S.RemotePuts) +
-                        ",\"touched\":" + std::to_string(Touched) + "}");
+      Sync.args("{\"published\":" + std::to_string(S.RemotePuts) +
+                ",\"touched\":" + std::to_string(Touched) + "}");
   }
 
   if (!Errors.empty()) {
-    S.StateDBBytes = persist(StateIO, S);
-    Total.stop();
+    S.StateDBBytes = persist(S);
     S.ErrorText = std::move(Errors);
-    S.ScanUs = Scan.micros();
-    S.CompileUs = Compile.micros();
-    S.StateIOUs = StateIO.micros();
-    S.TotalUs = Total.micros();
-    FinishBuild();
-    return S;
+    return;
   }
 
   //===--- Link: all objects into one program image -----------------------===//
 
-  const uint64_t LinkT0 = nowNanos();
-  BuildPhase.enter(LinkFrame);
-  Link.start();
+  TraceSpan LinkSpan(trace(), "build", "link", &S.LinkUs);
   // Every TU reaching link was, this build, either validated against
   // its disk bytes at scan or stored/fetched: link from those in-memory
   // modules instead of reading and hashing each object a second time.
@@ -873,24 +830,16 @@ BuildStats BuildDriverImpl::build() {
   LinkResult Linked;
   if (LinkErrors.empty())
     Linked = linkObjects(LinkSet);
-  Link.stop();
   if (tracing())
-    trace()->span("build", "link", LinkT0, nowNanos(),
-                  "{\"objects\":" + std::to_string(LinkSet.size()) + "}");
+    LinkSpan.args("{\"objects\":" + std::to_string(LinkSet.size()) + "}");
+  LinkSpan.end();
 
   if (!LinkErrors.empty() || !Linked.succeeded()) {
     for (const std::string &E : Linked.Errors)
       LinkErrors += "link error: " + E + "\n";
-    S.StateDBBytes = persist(StateIO, S);
-    Total.stop();
+    S.StateDBBytes = persist(S);
     S.ErrorText = std::move(LinkErrors);
-    S.ScanUs = Scan.micros();
-    S.CompileUs = Compile.micros();
-    S.LinkUs = Link.micros();
-    S.StateIOUs = StateIO.micros();
-    S.TotalUs = Total.micros();
-    FinishBuild();
-    return S;
+    return;
   }
   Program = std::move(*Linked.Program);
   S.ObjectBytes = ObjectBytes;
@@ -923,17 +872,8 @@ BuildStats BuildDriverImpl::build() {
 
   //===--- Persist: manifest + compiler state -----------------------------===//
 
-  S.StateDBBytes = persist(StateIO, S);
-
-  Total.stop();
+  S.StateDBBytes = persist(S);
   S.Success = true;
-  S.ScanUs = Scan.micros();
-  S.CompileUs = Compile.micros();
-  S.LinkUs = Link.micros();
-  S.StateIOUs = StateIO.micros();
-  S.TotalUs = Total.micros();
-  FinishBuild();
-  return S;
 }
 
 void BuildDriverImpl::clean() {

@@ -83,14 +83,12 @@ sc::compileInParallel(const std::vector<CompileJob> &Jobs,
         Results[I].HasNewState = false;
       }
     if (!Batch.empty()) {
-      const uint64_t BatchT0 = nowNanos();
+      TraceSpan BatchSpan(Options.Trace, "build", "state-batch");
       const size_t BatchSize = Batch.size();
       DB->applyBatch(std::move(Batch));
       if (Options.Metrics)
         Options.Metrics->counter("scheduler.state_batched_writes")
             .add(BatchSize);
-      if (Tracing)
-        Options.Trace->span("build", "state-batch", BatchT0, nowNanos());
     }
   }
   return Results;

@@ -19,7 +19,6 @@
 #include "support/Hashing.h"
 #include "support/Metrics.h"
 #include "support/TaskPool.h"
-#include "support/Timer.h"
 #include "support/Trace.h"
 #include "transforms/MemoryUtils.h"
 
@@ -155,35 +154,28 @@ CompileResult Compiler::compile(const std::string &TUKey,
                                 const std::string &Source,
                                 const ModuleInterface &Imports) {
   CompileResult Result;
-  Timer Frontend, Middle, Backend, State;
 
   // One span covering the whole TU job: in a parallel build these
   // spans land on different trace threads, making -j scheduling
-  // visible. Phase sub-spans nest inside it.
+  // visible. Each phase is a nested scope that also fills its
+  // Result.Timings field; every one is end()ed before a `return`.
   const bool Tracing = Options.Trace && Options.Trace->enabled();
   TraceSpan TUSpan(Options.Trace, "compile", "compile:" + TUKey);
-
-  // Phase spans below are recorded retroactively (nowNanos window +
-  // span() after the fact), which the sampling profiler cannot see —
-  // so one SampleFrame tracks the current phase, switching at each
-  // boundary. Sampled stacks read "compile:<tu>;frontend" etc.; the
-  // destructor unwinds on the early-return paths.
-  static const std::string FrontendPhase("frontend"), StatePhase("state"),
-      MiddlePhase("middle"), BackendPhase("backend");
-  SampleFrame Phase(Options.Trace, "compile.phase", FrontendPhase);
+  auto PhaseName = [&](const char *Phase) {
+    return Tracing ? Phase + (":" + TUKey) : std::string();
+  };
 
   //===--- Frontend: parse, sema, IR generation -----------------------------===//
 
-  uint64_t PhaseT0 = nowNanos();
-  Frontend.start();
+  TraceSpan Frontend(Options.Trace, "compile.phase", PhaseName("frontend"),
+                     &Result.Timings.FrontendUs);
   DiagnosticEngine Diags;
   Parser P(Source, Diags);
   std::unique_ptr<ModuleAST> AST = P.parseModule();
   ModuleInterface Exported = analyzeModule(*AST, Imports, Diags);
   if (Diags.hasErrors()) {
-    Frontend.stop();
+    Frontend.end();
     Result.DiagText = Diags.render(TUKey);
-    Result.Timings.FrontendUs = Frontend.micros();
     return Result;
   }
 
@@ -191,10 +183,7 @@ CompileResult Compiler::compile(const std::string &TUKey,
   ModuleInterface Callables = Imports;
   Callables.insert(Callables.end(), Exported.begin(), Exported.end());
   std::unique_ptr<Module> M = generateIR(*AST, TUKey, Callables);
-  Frontend.stop();
-  if (Tracing)
-    Options.Trace->span("compile.phase", "frontend:" + TUKey, PhaseT0,
-                        nowNanos());
+  Frontend.end();
 
   {
     std::vector<std::string> Errors;
@@ -213,9 +202,8 @@ CompileResult Compiler::compile(const std::string &TUKey,
 
   //===--- State: fingerprints and previous records -------------------------===//
 
-  PhaseT0 = nowNanos();
-  Phase.enter(StatePhase);
-  State.start();
+  TraceSpan State(Options.Trace, "compile.phase", PhaseName("state"),
+                  &Result.Timings.StateUs);
   uint64_t MemoKey = 0;
   bool MemoHit = false;
   if (Options.FPMemo) {
@@ -278,28 +266,21 @@ CompileResult Compiler::compile(const std::string &TUKey,
       Instr->setReusedFunctions(ReusedFunctions);
     }
   }
-  State.stop();
+  State.end();
   if (Options.Metrics) {
     Options.Metrics->counter(MemoHit ? "compiler.fingerprint_memo_hits"
                                      : "compiler.fingerprint_memo_misses")
         .add(1);
   }
-  if (Tracing)
-    Options.Trace->span("compile.phase", "state:" + TUKey, PhaseT0,
-                        nowNanos());
 
   //===--- Middle end: the optimization pipeline ----------------------------===//
 
-  PhaseT0 = nowNanos();
-  Phase.enter(MiddlePhase);
-  Middle.start();
+  TraceSpan Middle(Options.Trace, "compile.phase", PhaseName("middle"),
+                   &Result.Timings.MiddleUs);
   AnalysisManager AM(*M);
   Result.PassStats = Pipeline.run(*M, AM, Instr.get(), Options.VerifyEach,
                                   Options.Workers, Options.Trace);
-  Middle.stop();
-  if (Tracing)
-    Options.Trace->span("compile.phase", "middle:" + TUKey, PhaseT0,
-                        nowNanos());
+  Middle.end();
 
   Result.IRInstsAfterOpt = 0;
   for (size_t I = 0; I != M->numFunctions(); ++I)
@@ -309,9 +290,8 @@ CompileResult Compiler::compile(const std::string &TUKey,
   // Functions whose inline-closure key matched splice their cached
   // compiled code instead of going through codegen.
 
-  PhaseT0 = nowNanos();
-  Phase.enter(BackendPhase);
-  Backend.start();
+  TraceSpan Backend(Options.Trace, "compile.phase", PhaseName("backend"),
+                    &Result.Timings.BackendUs);
   MModule Object;
   Object.Name = M->name();
   for (size_t I = 0; I != M->numGlobals(); ++I) {
@@ -336,16 +316,12 @@ CompileResult Compiler::compile(const std::string &TUKey,
     runPeephole(MF);
     Object.Functions.push_back(std::move(MF));
   }
-  Backend.stop();
-  if (Tracing)
-    Options.Trace->span("compile.phase", "backend:" + TUKey, PhaseT0,
-                        nowNanos());
+  Backend.end();
 
   //===--- State: persist dormancy records and the code cache ----------------===//
 
-  PhaseT0 = nowNanos();
-  Phase.enter(StatePhase);
-  State.start();
+  TraceSpan StateSave(Options.Trace, "compile.phase", PhaseName("state"),
+                      &Result.Timings.StateUs);
   if (Instr) {
     Result.SkipStats = Instr->stats();
     if (Options.RecordDecisions) {
@@ -383,10 +359,8 @@ CompileResult Compiler::compile(const std::string &TUKey,
       DB->update(TUKey, std::move(NewState));
     }
   }
-  State.stop();
-  if (Tracing) {
-    Options.Trace->span("compile.phase", "state:" + TUKey, PhaseT0,
-                        nowNanos());
+  StateSave.end();
+  if (Tracing)
     TUSpan.args("{\"passes_run\":" +
                 std::to_string(Result.PassStats.FunctionPassRuns +
                                Result.PassStats.ModulePassRuns) +
@@ -395,15 +369,10 @@ CompileResult Compiler::compile(const std::string &TUKey,
                                Result.PassStats.ModulePassSkips) +
                 ",\"functions_reused\":" +
                 std::to_string(Result.SkipStats.FunctionsReused) + "}");
-  }
 
   Result.Object = std::move(Object);
   Result.Interface = std::move(Exported);
   Result.Success = true;
-  Result.Timings.FrontendUs = Frontend.micros();
-  Result.Timings.MiddleUs = Middle.micros();
-  Result.Timings.BackendUs = Backend.micros();
-  Result.Timings.StateUs = State.micros();
   return Result;
 }
 

@@ -163,29 +163,21 @@ PipelineStats PassPipeline::run(Module &M, AnalysisManager &AM,
                              passDecisionName(Reason) + "\"}");
         continue;
       }
-      Timer T;
-      const uint64_t T0 = nowNanos();
-      T.start();
-      bool Changed;
-      {
-        // The pass span below is recorded retroactively; the frame is
-        // what lets the sampling profiler attribute ticks to the pass.
-        SampleFrame SF(Trace, "pass", Name);
-        Changed = E.MP->run(M, AM);
-      }
-      T.stop();
+      TraceSpan PassSpan(Trace, "pass", Name);
+      const bool Changed = E.MP->run(M, AM);
+      if (Tracing)
+        PassSpan.args(std::string("{\"module\":true,\"changed\":") +
+                      (Changed ? "true" : "false") + ",\"reason\":\"" +
+                      passDecisionName(Reason) + "\"}");
+      const uint64_t Dur = PassSpan.end();
       if (Changed)
         AM.invalidateAll();
-      PassTimer.accumulate(T);
+      PassTimer.addNanos(Dur);
       ++Stats.ModulePassRuns;
-      Stats.TotalPassMicros += T.micros();
+      Stats.TotalPassMicros += static_cast<double>(Dur) / 1000.0;
       if (PI)
-        PI->afterModulePass(Name, Index, M, Changed, T.micros());
-      if (Tracing)
-        Trace->span("pass", Name, T0, T0 + T.nanos(),
-                    std::string("{\"module\":true,\"changed\":") +
-                        (Changed ? "true" : "false") + ",\"reason\":\"" +
-                        passDecisionName(Reason) + "\"}");
+        PI->afterModulePass(Name, Index, M, Changed,
+                            static_cast<double>(Dur) / 1000.0);
       if (VerifyEach && Changed)
         for (size_t FI = 0; FI != M.numFunctions(); ++FI)
           verifyOrDie(*M.function(FI), Name);
@@ -251,13 +243,13 @@ PipelineStats PassPipeline::run(Module &M, AnalysisManager &AM,
                                "\"}");
           continue;
         }
-        uint64_t T0 = nowNanos();
-        bool Changed;
-        {
-          SampleFrame SF(Trace, "pass", Name);
-          Changed = E.FP->run(F, AM);
-        }
-        uint64_t Dur = nowNanos() - T0;
+        TraceSpan PassSpan(Trace, "pass", Name);
+        const bool Changed = E.FP->run(F, AM);
+        if (Tracing)
+          PassSpan.args("{\"fn\":\"" + jsonEscape(F.name()) +
+                        "\",\"changed\":" + (Changed ? "true" : "false") +
+                        ",\"reason\":\"" + passDecisionName(Reason) + "\"}");
+        const uint64_t Dur = PassSpan.end();
         if (Changed) {
           AM.invalidate(F);
           ++SS[P].Changes;
@@ -267,11 +259,6 @@ PipelineStats PassPipeline::run(Module &M, AnalysisManager &AM,
         if (PI)
           PI->afterPass(Name, Index, F, Changed,
                         static_cast<double>(Dur) / 1000.0);
-        if (Tracing)
-          Trace->span("pass", Name, T0, T0 + Dur,
-                      "{\"fn\":\"" + jsonEscape(F.name()) + "\",\"changed\":" +
-                          (Changed ? "true" : "false") + ",\"reason\":\"" +
-                          passDecisionName(Reason) + "\"}");
         if (VerifyEach && Changed)
           verifyOrDie(F, Name);
       }

@@ -10,7 +10,8 @@
 /// and Perfetto) at build end. One recorder serves one build process;
 /// every layer that wants to emit events holds a `TraceRecorder *`
 /// that is null (or disabled) by default, so an untraced build pays a
-/// single pointer/flag test per would-be event and nothing else.
+/// single pointer/flag test per would-be event, plus the two clock
+/// reads of each TraceSpan scope, which time the build either way.
 ///
 /// Concurrency model: each recording thread owns a private event ring,
 /// registered once under the registry mutex and thereafter written
@@ -163,8 +164,8 @@ public:
   void popCurrentSpan();
 
   /// One rendered stack per thread with at least one live span:
-  /// outermost-first span names joined with ';'
-  /// (e.g. "build;compile:util.mc;frontend:util.mc"). Safe to call
+  /// outermost-first span names joined with ';' (e.g.
+  /// "build;compile;compile:util.mc;frontend:util.mc"). Safe to call
   /// from the sampler thread while workers record.
   std::vector<std::string> sampleStacks() const;
 
@@ -232,17 +233,26 @@ private:
   bool AnnouncedProcess = false;
 };
 
-/// RAII span: records [construction, destruction] on the calling
-/// thread. A null (or disabled-at-construction) recorder makes it a
-/// no-op; callers building dynamic names should gate the string
-/// construction on `R && R->enabled()` themselves.
+/// The one timed scope. It reads the clock once when it opens and once
+/// when it closes (end(), or the destructor), and from those two reads
+/// it:
+///   * records the span event, when the recorder is on;
+///   * keeps a frame named after the span on the thread's current-span
+///     stack, when sampling is on;
+///   * adds the elapsed microseconds to \p SlotUs, when one is given —
+///     even when the recorder is off or null, so build statistics and
+///     the trace are the same measurement.
+/// A scope that writes into an object the caller returns must be
+/// end()ed before the `return`. Callers building dynamic names should
+/// gate the string construction on `R && R->enabled()` themselves.
 class TraceSpan {
 public:
-  TraceSpan(TraceRecorder *R, const char *Category, std::string Name)
-      : R(R && R->enabled() ? R : nullptr), Category(Category) {
+  TraceSpan(TraceRecorder *R, const char *Category, std::string Name,
+            double *SlotUs = nullptr)
+      : R(R && R->enabled() ? R : nullptr), Category(Category),
+        SlotUs(SlotUs) {
     if (this->R) {
       this->Name = std::move(Name);
-      StartNs = nowNanos();
       if (this->R->samplingEnabled()) {
         // The stack frame points at this->Name; valid because the
         // span is immovable and pops before the name moves out.
@@ -250,6 +260,7 @@ public:
         Pushed = true;
       }
     }
+    StartNs = nowNanos();
   }
 
   /// Attaches a preformatted JSON args object to the span.
@@ -258,14 +269,29 @@ public:
       Args = std::move(ArgsJson);
   }
 
-  ~TraceSpan() {
+  uint64_t startNs() const { return StartNs; }
+
+  /// Nanoseconds since the scope opened; the scope stays open.
+  uint64_t elapsedNs() const { return nowNanos() - StartNs; }
+
+  /// Closes the scope now and returns its duration in nanoseconds.
+  /// Later calls (and the destructor) do nothing and return 0.
+  uint64_t end() {
+    if (Ended)
+      return 0;
+    Ended = true;
+    const uint64_t EndNs = nowNanos();
+    if (SlotUs)
+      *SlotUs += static_cast<double>(EndNs - StartNs) / 1000.0;
     if (R) {
       if (Pushed)
         R->popCurrentSpan();
-      R->span(Category, std::move(Name), StartNs, nowNanos(),
-              std::move(Args));
+      R->span(Category, std::move(Name), StartNs, EndNs, std::move(Args));
     }
+    return EndNs - StartNs;
   }
+
+  ~TraceSpan() { end(); }
 
   TraceSpan(const TraceSpan &) = delete;
   TraceSpan &operator=(const TraceSpan &) = delete;
@@ -273,66 +299,12 @@ public:
 private:
   TraceRecorder *R;
   const char *Category;
+  double *SlotUs;
   std::string Name;
   std::string Args;
   uint64_t StartNs = 0;
   bool Pushed = false;
-};
-
-/// Sampling-stack frame for retroactively-recorded spans. Much of the
-/// hot path measures a window with nowNanos() and calls span() after
-/// the fact — it never constructs a TraceSpan, so the sampling
-/// profiler would not see those windows at all. A SampleFrame placed
-/// over the measured window puts the frame on the thread's
-/// current-span stack while sampling is on; when sampling is off the
-/// whole object is one relaxed load and two branches, keeping the
-/// bench_e8_micro zero-overhead assertions intact.
-///
-/// enter() switches the frame in place (pop + push), which suits
-/// linear phase code: one SampleFrame per region sequence, re-entered
-/// at each boundary, and the destructor unwinds whatever is live —
-/// including on early returns.
-///
-/// \p Name lifetimes follow pushCurrentSpan: the string must stay
-/// valid until the frame exits (call sites use locals or immortal
-/// constants).
-class SampleFrame {
-public:
-  SampleFrame(TraceRecorder *R, const char *Category)
-      : R(R && R->enabled() && R->samplingEnabled() ? R : nullptr),
-        Category(Category) {}
-  SampleFrame(TraceRecorder *R, const char *Category, const std::string &Name)
-      : SampleFrame(R, Category) {
-    enter(Name);
-  }
-
-  /// Replaces the live frame (if any) with \p Name.
-  void enter(const std::string &Name) {
-    if (!R)
-      return;
-    if (Live)
-      R->popCurrentSpan();
-    R->pushCurrentSpan(Category, Name);
-    Live = true;
-  }
-
-  /// Pops the live frame, if any. Idempotent.
-  void exit() {
-    if (R && Live) {
-      R->popCurrentSpan();
-      Live = false;
-    }
-  }
-
-  ~SampleFrame() { exit(); }
-
-  SampleFrame(const SampleFrame &) = delete;
-  SampleFrame &operator=(const SampleFrame &) = delete;
-
-private:
-  TraceRecorder *R;
-  const char *Category;
-  bool Live = false;
+  bool Ended = false;
 };
 
 } // namespace sc

@@ -24,6 +24,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 
 #include <sys/wait.h>
@@ -253,6 +254,172 @@ TEST(BuildTelemetry, TracingDoesNotPerturbOutputAtAnyJobCount) {
         << "-j" << Jobs;
     EXPECT_GT(Trace.snapshot().size(), 0u);
   }
+}
+
+//===--- Build statistics are the span durations --------------------------===//
+
+namespace {
+
+struct SpanSum {
+  uint64_t Ns = 0;
+  unsigned Count = 0;
+};
+
+/// Total duration and count of the spans of category \p Cat named
+/// \p Name — or, when \p Name ends in ':', named with that prefix.
+SpanSum sumSpans(const std::vector<TraceEvent> &Events, const char *Cat,
+                 const std::string &Name) {
+  const bool Prefix = Name.back() == ':';
+  SpanSum Sum;
+  for (const TraceEvent &E : Events)
+    if (E.K == TraceEvent::Kind::Span && std::string(E.Category) == Cat &&
+        (Prefix ? E.Name.compare(0, Name.size(), Name) == 0
+                : E.Name == Name)) {
+      Sum.Ns += E.DurNs;
+      ++Sum.Count;
+    }
+  return Sum;
+}
+
+/// \p Us (a stats field) must be the summed span time, within 1 ns per
+/// window.
+void expectSameTime(double Us, SpanSum Sum, const char *What) {
+  EXPECT_NEAR(Us * 1000.0, static_cast<double>(Sum.Ns),
+              std::max(1u, Sum.Count))
+      << What << " over " << Sum.Count << " span(s)";
+}
+
+/// Every timed field of \p S is the duration of its span(s) in
+/// \p Events, and the build phases fit inside the whole build.
+void expectStatsAreSpanDurations(const BuildStats &S,
+                                 const std::vector<TraceEvent> &Events) {
+  for (const char *Phase : {"scan", "compile", "link", "stateSave"})
+    EXPECT_EQ(sumSpans(Events, "build", Phase).Count, 1u) << Phase;
+  expectSameTime(S.ScanUs, sumSpans(Events, "build", "scan"), "scan");
+  expectSameTime(S.CompileUs, sumSpans(Events, "build", "compile"),
+                 "compile");
+  expectSameTime(S.LinkUs, sumSpans(Events, "build", "link"), "link");
+  const SpanSum Load = sumSpans(Events, "build", "stateLoad");
+  const SpanSum Save = sumSpans(Events, "build", "stateSave");
+  expectSameTime(S.StateIOUs, {Load.Ns + Save.Ns, Load.Count + Save.Count},
+                 "stateLoad + stateSave");
+
+  const PhaseTimings &P = S.CompilePhases;
+  expectSameTime(P.FrontendUs, sumSpans(Events, "compile.phase", "frontend:"),
+                 "frontend");
+  expectSameTime(P.StateUs, sumSpans(Events, "compile.phase", "state:"),
+                 "state");
+  expectSameTime(P.MiddleUs, sumSpans(Events, "compile.phase", "middle:"),
+                 "middle");
+  expectSameTime(P.BackendUs, sumSpans(Events, "compile.phase", "backend:"),
+                 "backend");
+
+  EXPECT_LE(S.ScanUs + S.CompileUs + S.LinkUs + S.StateIOUs, S.TotalUs);
+}
+
+void editCharlie(VirtualFileSystem &FS, int Extra) {
+  FS.writeFile("charlie.mc", R"(
+    import "bravo.mc";
+    fn main() -> int { return inc(10); }
+    fn extra() -> int { return )" + std::to_string(Extra) + R"(; }
+  )");
+}
+
+} // namespace
+
+TEST(BuildTelemetry, PhaseStatsAreTheirSpanDurations) {
+  InMemoryFileSystem FS;
+  writeProject(FS);
+  TraceRecorder Trace;
+  MetricsRegistry Metrics;
+  {
+    BuildDriver Driver(FS, telemetryOptions(&Trace, &Metrics));
+    BuildStats Cold = Driver.build();
+    ASSERT_TRUE(Cold.Success) << Cold.ErrorText;
+    std::vector<TraceEvent> Events = Trace.snapshot();
+    EXPECT_EQ(sumSpans(Events, "build", "stateLoad").Count, 1u);
+    {
+      SCOPED_TRACE("cold build");
+      expectStatsAreSpanDurations(Cold, Events);
+    }
+
+    editCharlie(FS, 7);
+    Trace.clear();
+    BuildStats Incremental = Driver.build();
+    ASSERT_TRUE(Incremental.Success) << Incremental.ErrorText;
+    EXPECT_EQ(Incremental.FilesCompiled, 1u);
+    SCOPED_TRACE("incremental build");
+    expectStatsAreSpanDurations(Incremental, Trace.snapshot());
+  }
+  {
+    // Another holder owns the build lock: a fresh driver loads state,
+    // compiles the edit, and persists nothing.
+    FileLock Other = FileLock::acquire(FS, "out/.lock", 0);
+    ASSERT_TRUE(Other.held());
+    editCharlie(FS, 8);
+    Trace.clear();
+    BuildDriver Driver(FS, telemetryOptions(&Trace, &Metrics));
+    BuildStats ReadOnly = Driver.build();
+    ASSERT_TRUE(ReadOnly.Success) << ReadOnly.ErrorText;
+    EXPECT_TRUE(ReadOnly.ReadOnly);
+    EXPECT_EQ(ReadOnly.FilesCompiled, 1u);
+    SCOPED_TRACE("read-only build");
+    expectStatsAreSpanDurations(ReadOnly, Trace.snapshot());
+  }
+}
+
+TEST(BuildTelemetry, ImportCycleBuildEmitsItsScanSpan) {
+  InMemoryFileSystem FS;
+  FS.writeFile("a.mc", "import \"b.mc\";\nfn fa() -> int { return 1; }");
+  FS.writeFile("b.mc", "import \"a.mc\";\nfn fb() -> int { return 2; }");
+  TraceRecorder Trace;
+  MetricsRegistry Metrics;
+  BuildDriver Driver(FS, telemetryOptions(&Trace, &Metrics));
+  BuildStats S = Driver.build();
+  ASSERT_FALSE(S.Success);
+  EXPECT_NE(S.ErrorText.find("cycle"), std::string::npos) << S.ErrorText;
+  const SpanSum Scan = sumSpans(Trace.snapshot(), "build", "scan");
+  EXPECT_EQ(Scan.Count, 1u);
+  expectSameTime(S.ScanUs, Scan, "scan");
+}
+
+TEST(BuildTelemetry, SemaFailureEmitsItsFrontendSpan) {
+  InMemoryFileSystem FS;
+  writeProject(FS);
+  FS.writeFile("delta.mc", "fn broken() -> int { return nowhere; }");
+  TraceRecorder Trace;
+  MetricsRegistry Metrics;
+  BuildDriver Driver(FS, telemetryOptions(&Trace, &Metrics));
+  BuildStats S = Driver.build();
+  ASSERT_FALSE(S.Success);
+  EXPECT_NE(S.ErrorText.find("delta.mc"), std::string::npos) << S.ErrorText;
+  std::vector<TraceEvent> Events = Trace.snapshot();
+  EXPECT_EQ(sumSpans(Events, "compile.phase", "frontend:delta.mc").Count, 1u);
+  EXPECT_EQ(sumSpans(Events, "compile.phase", "middle:delta.mc").Count, 0u);
+  expectSameTime(S.CompilePhases.FrontendUs,
+                 sumSpans(Events, "compile.phase", "frontend:"), "frontend");
+}
+
+TEST(BuildTelemetry, ReadOnlyBuildEmitsItsStateSaveSpan) {
+  InMemoryFileSystem FS;
+  writeProject(FS);
+  MetricsRegistry Metrics;
+  ASSERT_TRUE(BuildDriver(FS, telemetryOptions(nullptr, &Metrics))
+                  .build()
+                  .Success);
+  FileLock Other = FileLock::acquire(FS, "out/.lock", 0);
+  ASSERT_TRUE(Other.held());
+  TraceRecorder Trace;
+  BuildDriver Driver(FS, telemetryOptions(&Trace, &Metrics));
+  BuildStats S = Driver.build();
+  ASSERT_TRUE(S.Success) << S.ErrorText;
+  ASSERT_TRUE(S.ReadOnly);
+  std::vector<TraceEvent> Events = Trace.snapshot();
+  const SpanSum Load = sumSpans(Events, "build", "stateLoad");
+  const SpanSum Save = sumSpans(Events, "build", "stateSave");
+  EXPECT_EQ(Save.Count, 1u);
+  expectSameTime(S.StateIOUs, {Load.Ns + Save.Ns, Load.Count + Save.Count},
+                 "stateLoad + stateSave");
 }
 
 //===--- Stale-lock auto-recovery -----------------------------------------===//

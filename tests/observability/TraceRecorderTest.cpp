@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <set>
 #include <thread>
@@ -69,6 +70,71 @@ TEST(TraceRecorder, TraceSpanRecordsConstructionToDestruction) {
   ASSERT_EQ(Events.size(), 1u);
   EXPECT_EQ(Events[0].Name, "scoped");
   EXPECT_EQ(Events[0].ArgsJson, "{\"x\":2}");
+}
+
+//===--- TraceSpan: the one timed scope -----------------------------------===//
+
+TEST(TraceSpan, SampledStackFollowsNestedAndEndedScopes) {
+  TraceRecorder R;
+  R.setSamplingEnabled(true);
+  using Stacks = std::vector<std::string>;
+  {
+    TraceSpan Build(&R, "build", "build");
+    TraceSpan Scan(&R, "build", "scan");
+    EXPECT_EQ(R.sampleStacks(), Stacks{"build;scan"});
+    Scan.end();
+    EXPECT_EQ(R.sampleStacks(), Stacks{"build"});
+    TraceSpan Compile(&R, "build", "compile");
+    {
+      TraceSpan TU(&R, "compile", "compile:util.mc");
+      TraceSpan Middle(&R, "compile.phase", "middle:util.mc");
+      TraceSpan Pass(&R, "pass", "licm");
+      EXPECT_EQ(R.sampleStacks(),
+                Stacks{"build;compile;compile:util.mc;middle:util.mc;licm"});
+    }
+    EXPECT_EQ(R.sampleStacks(), Stacks{"build;compile"});
+  }
+  EXPECT_TRUE(R.sampleStacks().empty());
+  EXPECT_EQ(R.numEvents(), 6u);
+}
+
+TEST(TraceSpan, SlotReceivesTheRecordedDuration) {
+  TraceRecorder R;
+  double SlotUs = 0;
+  uint64_t EndedNs = 0;
+  {
+    TraceSpan S(&R, "cat", "timed", &SlotUs);
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    EndedNs = S.end();
+    EXPECT_EQ(S.end(), 0u) << "a second end() must not time again";
+  }
+  std::vector<TraceEvent> Events = R.snapshot();
+  ASSERT_EQ(Events.size(), 1u);
+  EXPECT_EQ(Events[0].DurNs, EndedNs);
+  EXPECT_GE(Events[0].DurNs, 1000000u);
+  EXPECT_EQ(SlotUs, static_cast<double>(Events[0].DurNs) / 1000.0);
+
+  // The slot accumulates: a second window adds its own duration.
+  { TraceSpan S(&R, "cat", "again", &SlotUs); }
+  Events = R.snapshot();
+  ASSERT_EQ(Events.size(), 2u);
+  EXPECT_NEAR(SlotUs * 1000.0,
+              static_cast<double>(Events[0].DurNs + Events[1].DurNs), 2.0);
+}
+
+TEST(TraceSpan, DisabledOrNullRecorderStillFillsTheSlot) {
+  TraceRecorder Off(/*StartEnabled=*/false);
+  Off.setSamplingEnabled(true);
+  for (TraceRecorder *R : {&Off, static_cast<TraceRecorder *>(nullptr)}) {
+    double SlotUs = 0;
+    {
+      TraceSpan S(R, "cat", "untraced", &SlotUs);
+      EXPECT_TRUE(Off.sampleStacks().empty()) << "no frame may be pushed";
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    EXPECT_GE(SlotUs, 1000.0) << (R ? "disabled" : "null") << " recorder";
+  }
+  EXPECT_EQ(Off.numEvents(), 0u);
 }
 
 TEST(TraceRecorder, RingOverflowDropsOldestAndCounts) {
