@@ -42,19 +42,19 @@ struct PathNode {
 };
 
 std::vector<PathNode> criticalPath(const HistoryRecord &R) {
+  // Phase times convert to whole microseconds, as the ledger keeps them.
   std::vector<PathNode> Path;
-  Path.push_back({"scan", R.ScanUs, R.ScanUs});
+  Path.emplace_back("scan", R.ScanUs, R.ScanUs);
   const uint64_t SlowTU = R.TUs.empty() ? 0 : R.TUs.front().DurUs;
-  Path.push_back(
-      {"compile", R.CompileUs > SlowTU ? R.CompileUs - SlowTU : 0,
-       R.CompileUs});
+  Path.emplace_back("compile", R.CompileUs > SlowTU ? R.CompileUs - SlowTU : 0,
+                    R.CompileUs);
   if (!R.TUs.empty())
     Path.push_back({"tu:" + R.TUs.front().Name, SlowTU, SlowTU});
   if (!R.Passes.empty())
     Path.push_back({"pass:" + R.Passes.front().Name, R.Passes.front().DurUs,
                     R.Passes.front().DurUs});
-  Path.push_back({"link", R.LinkUs, R.LinkUs});
-  Path.push_back({"state_io", R.StateIOUs, R.StateIOUs});
+  Path.emplace_back("link", R.LinkUs, R.LinkUs);
+  Path.emplace_back("state_io", R.StateIOUs, R.StateIOUs);
   return Path;
 }
 
@@ -168,7 +168,8 @@ std::string renderJson(const HistoryRecord &R, const HistoryRecord *Base,
        ",\n";
   J += "  \"files\": {\"compiled\": " + std::to_string(R.FilesCompiled) +
        ", \"total\": " + std::to_string(R.FilesTotal) + "},\n";
-  J += "  \"total_us\": " + std::to_string(R.TotalUs) + ",\n";
+  J += "  \"total_us\": " + std::to_string(static_cast<uint64_t>(R.TotalUs)) +
+       ",\n";
 
   J += "  \"critical_path\": [";
   bool First = true;
@@ -285,8 +286,8 @@ std::string renderHuman(const HistoryRecord &R, const HistoryRecord *Base,
        ") — " + std::to_string(R.FilesCompiled) + "/" +
        std::to_string(R.FilesTotal) + " files compiled, total " +
        ms(R.TotalUs) + " ms\n";
-  if (!R.Error.empty())
-    O += "  error: " + R.Error.substr(0, 200) + "\n";
+  if (!R.ErrorText.empty())
+    O += "  error: " + R.ErrorText.substr(0, 200) + "\n";
 
   O += "\ncritical path (self / total, share of build):\n";
   for (const PathNode &N : criticalPath(R)) {

@@ -11,6 +11,7 @@
 
 #include "build_sys/BuildSystem.h"
 
+#include "build_sys/BuildFacts.h"
 #include "build_sys/DepVerifier.h"
 
 #include "build_sys/DependencyScanner.h"
@@ -33,6 +34,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <iterator>
 #include <optional>
 #include <set>
 #include <tuple>
@@ -108,10 +110,10 @@ private:
   TraceRecorder *trace() const { return Options.Compiler.Trace; }
   bool tracing() const { return trace() && trace()->enabled(); }
 
-  /// Mirrors the finished BuildStats into the metrics registry (the
-  /// machine-readable face of the same numbers). Counters accumulate
-  /// across the driver's builds; gauges describe the latest one.
-  void publishMetrics(const BuildStats &S);
+  /// Publishes this build's lock.* and pool.* deltas. Runs before the
+  /// ledger append, which snapshots them into the record; the build.*
+  /// facts are published after it (publishBuildFacts).
+  void publishContention();
 
   /// Appends this build's record to the history ledger
   /// (build_sys/History.h). Runs on every exit path — success,
@@ -167,25 +169,29 @@ private:
   /// only because a dependency's implementation changed.
   FingerprintMemo FPMemo;
 
+  /// The instrumented lock families, each published as lock.<name>.*.
+  static constexpr std::pair<const char *, ContentionCounters &(*)()>
+      LockFamilies[] = {{"constants", constantUniquingContention},
+                        {"shared_users", sharedUseContention},
+                        {"statefulpolicy", statefulPolicyContention},
+                        {"fpmemo", fingerprintMemoContention},
+                        {"statedb", stateDBContention},
+                        {"analysis_slots", analysisSlotContention}};
+
   /// Lock-contention and pool-scheduling counters sampled at build()
-  /// entry; publishMetrics() publishes the per-build DELTAS as lock.*
+  /// entry; publishContention() publishes the per-build DELTAS as lock.*
   /// and pool.* metrics (the counters themselves are cumulative — the
   /// contention ones process-wide, the pool ones per driver).
   struct HotPathSnapshots {
-    ContentionSnapshot Constants, SharedUsers, Stateful, FPMemo, StateDB,
-        Analysis;
+    ContentionSnapshot Locks[std::size(LockFamilies)];
     TaskPoolStats Pool;
   };
   HotPathSnapshots BuildStartSnap;
 
   HotPathSnapshots captureHotPathSnapshots() const {
     HotPathSnapshots Snap;
-    Snap.Constants = snapshot(constantUniquingContention());
-    Snap.SharedUsers = snapshot(sharedUseContention());
-    Snap.Stateful = snapshot(statefulPolicyContention());
-    Snap.FPMemo = snapshot(fingerprintMemoContention());
-    Snap.StateDB = snapshot(stateDBContention());
-    Snap.Analysis = snapshot(analysisSlotContention());
+    for (size_t I = 0; I != std::size(LockFamilies); ++I)
+      Snap.Locks[I] = snapshot(LockFamilies[I].second());
     Snap.Pool = Pool->stats();
     return Snap;
   }
@@ -298,60 +304,34 @@ void BuildDriverImpl::degradeRemote(BuildStats &S, const std::string &Why) {
     trace()->instant("remote", "degrade", "{\"reason\":\"" + Why + "\"}");
 }
 
-void BuildDriverImpl::publishMetrics(const BuildStats &S) {
+void sc::publishBuildFacts(const BuildStats &S, MetricsRegistry &M) {
+  forEachBuildFact(S, [&](const BuildFact &F, const auto &V) {
+    const std::string Name(F.Metric);
+    if (F.Kind == FactKind::Counter)
+      M.counter(Name).add(static_cast<uint64_t>(V));
+    else
+      M.gauge(Name).set(static_cast<double>(V));
+  });
+  M.counter("build.builds").add(1);
+  M.counter("build.warnings").add(S.Warnings.size());
+  M.counter("build.history_appends").add(S.BuildId ? 1 : 0);
+}
+
+void BuildDriverImpl::publishContention() {
   MetricsRegistry *M = Options.Compiler.Metrics;
   if (!M)
     return;
-  M->counter("build.builds").add(1);
-  M->counter("build.files_compiled").add(S.FilesCompiled);
-  M->counter("build.passes_run").add(S.Skip.PassesRun);
-  M->counter("build.passes_skipped").add(S.Skip.PassesSkipped);
-  M->counter("build.functions_reused").add(S.Skip.FunctionsReused);
-  M->counter("build.state_tus_salvaged").add(S.StateTUsSalvaged);
-  M->counter("build.state_tus_dropped").add(S.StateTUsDropped);
-  M->counter("build.interface_scans").add(S.InterfaceScans);
-  M->counter("build.scan_cache_hits").add(S.ScanCacheHits);
-  M->counter("build.objects_parsed").add(S.ObjectsParsed);
-  M->counter("build.temp_files_swept").add(S.TempFilesSwept);
-  M->counter("build.remote_hits").add(S.RemoteHits);
-  M->counter("build.remote_misses").add(S.RemoteMisses);
-  M->counter("build.remote_puts").add(S.RemotePuts);
-  M->counter("build.remote_errors").add(S.RemoteErrors);
-  M->counter("build.warnings").add(S.Warnings.size());
-  if (Options.VerifyDeps) {
-    // Registered only when the verifier runs, so builds without it
-    // keep their metrics page (and the tests over it) unchanged.
-    M->counter("build.deps_tus_checked").add(S.DepsTUsChecked);
-    M->counter("build.deps_missing").add(S.DepsMissing);
-    M->counter("build.deps_redundant").add(S.DepsRedundant);
-  }
-  M->gauge("build.files_total").set(S.FilesTotal);
-  M->gauge("build.scan_us").set(S.ScanUs);
-  M->gauge("build.compile_us").set(S.CompileUs);
-  M->gauge("build.link_us").set(S.LinkUs);
-  M->gauge("build.state_io_us").set(S.StateIOUs);
-  M->gauge("build.total_us").set(S.TotalUs);
-  M->gauge("build.state_db_bytes").set(static_cast<double>(S.StateDBBytes));
-  M->gauge("build.object_bytes").set(static_cast<double>(S.ObjectBytes));
-
   // Lock-wait and pool-scheduling deltas for this build: contention on
   // the compiler's shared structures as first-class, regression-
   // trackable numbers (docs/OBSERVABILITY.md "Lock-wait metrics").
   const HotPathSnapshots Now = captureHotPathSnapshots();
-  auto PublishLock = [&](const char *Family, const ContentionSnapshot &Before,
-                         const ContentionSnapshot &After) {
-    std::string P = std::string("lock.") + Family;
-    M->counter(P + ".acquisitions").add(After.Acquisitions -
-                                        Before.Acquisitions);
-    M->counter(P + ".contended").add(After.Contended - Before.Contended);
-    M->counter(P + ".wait_ns").add(After.WaitNs - Before.WaitNs);
-  };
-  PublishLock("constants", BuildStartSnap.Constants, Now.Constants);
-  PublishLock("shared_users", BuildStartSnap.SharedUsers, Now.SharedUsers);
-  PublishLock("statefulpolicy", BuildStartSnap.Stateful, Now.Stateful);
-  PublishLock("fpmemo", BuildStartSnap.FPMemo, Now.FPMemo);
-  PublishLock("statedb", BuildStartSnap.StateDB, Now.StateDB);
-  PublishLock("analysis_slots", BuildStartSnap.Analysis, Now.Analysis);
+  for (size_t I = 0; I != std::size(LockFamilies); ++I) {
+    const ContentionSnapshot &B = BuildStartSnap.Locks[I], &A = Now.Locks[I];
+    const std::string P = std::string("lock.") + LockFamilies[I].first;
+    M->counter(P + ".acquisitions").add(A.Acquisitions - B.Acquisitions);
+    M->counter(P + ".contended").add(A.Contended - B.Contended);
+    M->counter(P + ".wait_ns").add(A.WaitNs - B.WaitNs);
+  }
   const TaskPoolStats &P0 = BuildStartSnap.Pool;
   const TaskPoolStats &P1 = Now.Pool;
   M->counter("pool.tasks_executed").add(P1.TasksExecuted - P0.TasksExecuted);
@@ -362,7 +342,6 @@ void BuildDriverImpl::publishMetrics(const BuildStats &S) {
                                          P0.SpinIterations);
   M->counter("pool.parks").add(P1.Parks - P0.Parks);
   M->counter("pool.park_wait_ns").add(P1.ParkWaitNs - P0.ParkWaitNs);
-  M->counter("build.trace_events_dropped").add(S.TraceEventsDropped);
 }
 
 void BuildDriverImpl::appendHistory(BuildStats &S, uint64_t BuildStartNs) {
@@ -377,24 +356,18 @@ void BuildDriverImpl::appendHistory(BuildStats &S, uint64_t BuildStartNs) {
     Events = trace()->snapshot();
   HistoryRecord R = makeHistoryRecord(S, Options.Compiler.Metrics, Events,
                                       BuildStartNs, UnixMs);
-  uint64_t Skipped = 0;
-  if (BuildHistory::append(FS, historyPath(), R, Options.HistoryLimit,
-                           &Skipped))
+  if (BuildHistory::append(FS, historyPath(), R, Options.HistoryLimit))
     S.BuildId = R.BuildId;
   else
     warn(S, FS,
          "failed to append build record to '" + historyPath() +
              "'; cross-build history loses this build");
-  S.HistoryRecordsSkipped = Skipped;
-  if (Skipped)
+  S.HistoryRecordsSkipped = R.HistoryRecordsSkipped;
+  if (S.HistoryRecordsSkipped)
     warn(S, FS,
-         "skipped " + std::to_string(Skipped) + " damaged record(s) in '" +
-             historyPath() +
+         "skipped " + std::to_string(S.HistoryRecordsSkipped) +
+             " damaged record(s) in '" + historyPath() +
              "' (torn by an earlier crash); surviving records were kept");
-  if (MetricsRegistry *M = Options.Compiler.Metrics) {
-    M->counter("build.history_appends").add(S.BuildId ? 1 : 0);
-    M->counter("build.history_records_skipped").add(Skipped);
-  }
 }
 
 BuildStats BuildDriverImpl::build() {
@@ -495,8 +468,9 @@ BuildStats BuildDriverImpl::build() {
 
   // The one exit path (error or success): cache-counter deltas,
   // profiler teardown, trace-drop accounting (exactly one warning when
-  // the ring overflowed), metrics publication, and the history-ledger
-  // append. The build span itself closes after all of it.
+  // the ring overflowed), the history-ledger append, and metrics
+  // publication — the build.* facts last, so they count what the append
+  // added. The build span itself closes after all of it.
   S.ScanCacheHits = Scanner.cacheHits() - ScanHits0;
   S.InterfaceScans = Scanner.cacheMisses() - ScanMisses0;
   S.ObjectsParsed = Objects.deserializations() - Parses0;
@@ -510,8 +484,10 @@ BuildStats BuildDriverImpl::build() {
                " event(s) were dropped — the emitted trace is truncated "
                "(oldest events lost first)");
   }
-  publishMetrics(S);
+  publishContention();
   appendHistory(S, BuildSpan.startNs());
+  if (MetricsRegistry *M = Options.Compiler.Metrics)
+    publishBuildFacts(S, *M);
   return S;
 }
 

@@ -6,10 +6,12 @@
 
 #include "build_sys/BuildReport.h"
 
+#include "build_sys/BuildFacts.h"
 #include "support/Metrics.h"
 #include "support/Trace.h" // jsonEscape
 
 #include <cstdio>
+#include <type_traits>
 
 using namespace sc;
 
@@ -21,9 +23,54 @@ std::string num(double V) {
   return Buf;
 }
 
-std::string boolean(bool B) { return B ? "true" : "false"; }
+std::string stringArray(const std::vector<std::string> &V) {
+  std::string J = "[";
+  for (size_t I = 0; I != V.size(); ++I)
+    J += (I ? ", " : "") + ("\"" + jsonEscape(V[I]) + "\"");
+  return J + "]";
+}
 
 } // namespace
+
+std::vector<FactGroupJson>
+sc::factGroupsJson(const BuildStats &S, std::string (*Time)(double),
+                   bool Compact, bool (*Keep)(const BuildFact &, bool)) {
+  std::vector<FactGroupJson> Groups;
+  forEachBuildFact(S, [&](const BuildFact &F, const auto &V) {
+    using T = std::decay_t<decltype(V)>;
+    if (Keep && !Keep(F, V == T()))
+      return;
+    std::string M = "\"" + std::string(F.key()) + (Compact ? "\":" : "\": ");
+    if constexpr (std::is_same_v<T, bool>)
+      M += V ? "true" : "false";
+    else if constexpr (std::is_floating_point_v<T>)
+      M += Time(V);
+    else
+      M += std::to_string(V);
+    if (Groups.empty() || Groups.back().Name != F.group())
+      Groups.push_back({std::string(F.group()), {}});
+    Groups.back().Members.push_back(std::move(M));
+  });
+  return Groups;
+}
+
+std::string sc::renderFactGroups(const std::vector<FactGroupJson> &Groups,
+                                 const char *Before, const char *After,
+                                 bool Compact) {
+  std::string J;
+  for (const FactGroupJson &G : Groups) {
+    if (G.Name.empty()) {
+      for (const std::string &M : G.Members)
+        J.append(Before).append(M).append(After);
+      continue;
+    }
+    J += Before + ("\"" + G.Name) + (Compact ? "\":{" : "\": {");
+    for (size_t I = 0; I != G.Members.size(); ++I)
+      J.append(I ? (Compact ? "," : ", ") : "").append(G.Members[I]);
+    J.append("}").append(After);
+  }
+  return J;
+}
 
 std::string sc::buildReportJson(const BuildStats &S,
                                 const MetricsRegistry *Metrics) {
@@ -31,67 +78,21 @@ std::string sc::buildReportJson(const BuildStats &S,
   J += "  \"schema\": \"scbuild-report\",\n";
   J += "  \"schema_version\": " + std::to_string(BuildReportSchemaVersion) +
        ",\n";
-  J += "  \"success\": " + boolean(S.Success) + ",\n";
-  J += "  \"read_only\": " + boolean(S.ReadOnly) + ",\n";
 
-  J += "  \"files\": {\"compiled\": " + std::to_string(S.FilesCompiled) +
-       ", \"total\": " + std::to_string(S.FilesTotal) + "},\n";
+  auto Groups = factGroupsJson(S, num, /*Compact=*/false);
+  for (FactGroupJson &G : Groups) {
+    if (G.Name != "deps")
+      continue;
+    // "checked" tells "the verifier ran and found nothing" from "the
+    // verifier never ran", so zero counts stay unambiguous.
+    const bool Checked = S.DepsTUsChecked != 0 || !S.DepFindings.empty();
+    G.Members.insert(G.Members.begin(), std::string("\"checked\": ") +
+                                            (Checked ? "true" : "false"));
+    G.Members.push_back("\"findings\": " + stringArray(S.DepFindings));
+  }
+  J += renderFactGroups(Groups, "  ", ",\n", /*Compact=*/false);
 
-  J += "  \"phases_us\": {\"scan\": " + num(S.ScanUs) +
-       ", \"compile\": " + num(S.CompileUs) + ", \"link\": " + num(S.LinkUs) +
-       ", \"state_io\": " + num(S.StateIOUs) +
-       ", \"total\": " + num(S.TotalUs) + "},\n";
-
-  J += "  \"compile_phases_us\": {\"frontend\": " +
-       num(S.CompilePhases.FrontendUs) +
-       ", \"middle\": " + num(S.CompilePhases.MiddleUs) +
-       ", \"backend\": " + num(S.CompilePhases.BackendUs) +
-       ", \"state\": " + num(S.CompilePhases.StateUs) + "},\n";
-
-  J += "  \"passes\": {\"run\": " + std::to_string(S.Skip.PassesRun) +
-       ", \"skipped\": " + std::to_string(S.Skip.PassesSkipped) +
-       ", \"functions_matched\": " + std::to_string(S.Skip.FunctionsMatched) +
-       ", \"functions_refreshed\": " +
-       std::to_string(S.Skip.FunctionsRefreshed) +
-       ", \"functions_reused\": " + std::to_string(S.Skip.FunctionsReused) +
-       "},\n";
-
-  J += "  \"state\": {\"db_bytes\": " + std::to_string(S.StateDBBytes) +
-       ", \"tus_salvaged\": " + std::to_string(S.StateTUsSalvaged) +
-       ", \"tus_dropped\": " + std::to_string(S.StateTUsDropped) + "},\n";
-
-  J += "  \"object_bytes\": " + std::to_string(S.ObjectBytes) + ",\n";
-
-  J += "  \"remote\": {\"hits\": " + std::to_string(S.RemoteHits) +
-       ", \"misses\": " + std::to_string(S.RemoteMisses) +
-       ", \"puts\": " + std::to_string(S.RemotePuts) +
-       ", \"errors\": " + std::to_string(S.RemoteErrors) + "},\n";
-
-  // Dependency-verifier section (scbuild --verify-deps). Additive —
-  // "checked" distinguishes "verifier ran and found nothing" from
-  // "verifier never ran", so zero counts stay unambiguous.
-  J += "  \"deps\": {\"checked\": " +
-       boolean(S.DepsTUsChecked != 0 || !S.DepFindings.empty()) +
-       ", \"tus_checked\": " + std::to_string(S.DepsTUsChecked) +
-       ", \"missing\": " + std::to_string(S.DepsMissing) +
-       ", \"redundant\": " + std::to_string(S.DepsRedundant) +
-       ", \"findings\": [";
-  for (size_t I = 0; I != S.DepFindings.size(); ++I)
-    J += (I ? ", " : "") + ("\"" + jsonEscape(S.DepFindings[I]) + "\"");
-  J += "]},\n";
-
-  J += "  \"trace\": {\"events_dropped\": " +
-       std::to_string(S.TraceEventsDropped) + "},\n";
-
-  J += "  \"history\": {\"build_id\": " + std::to_string(S.BuildId) +
-       ", \"records_skipped\": " + std::to_string(S.HistoryRecordsSkipped) +
-       "},\n";
-
-  J += "  \"warnings\": [";
-  for (size_t I = 0; I != S.Warnings.size(); ++I)
-    J += (I ? ", " : "") + ("\"" + jsonEscape(S.Warnings[I]) + "\"");
-  J += "],\n";
-
+  J += "  \"warnings\": " + stringArray(S.Warnings) + ",\n";
   if (!S.ErrorText.empty())
     J += "  \"error\": \"" + jsonEscape(S.ErrorText) + "\",\n";
 

@@ -112,7 +112,9 @@ struct BuildOptions {
   std::string RemoteCache;
 };
 
-/// Everything one build() call did, and how long each phase took.
+/// Everything one build() call did, and how long each phase took. Each
+/// scalar member is a fact in the list in BuildFacts.h; a new one needs
+/// a line there.
 struct BuildStats {
   bool Success = false;
   std::string ErrorText; // Rendered diagnostics when !Success.

@@ -6,6 +6,7 @@
 
 #include "build_sys/Daemon.h"
 
+#include "build_sys/BuildFacts.h"
 #include "build_sys/Explain.h"
 #include "support/FileSystem.h"
 #include "support/FlatJson.h"
@@ -88,17 +89,11 @@ std::string sc::encodeFrame(const DaemonFrame &F) {
   }
   if (F.Coalesced)
     J += ",\"coalesced\":true";
-  if (F.HasStats) {
-    J += ",\"compiled\":" + std::to_string(F.Compiled);
-    J += ",\"total\":" + std::to_string(F.Total);
-    J += ",\"scans\":" + std::to_string(F.InterfaceScans);
-    J += ",\"scanHits\":" + std::to_string(F.ScanCacheHits);
-    J += ",\"parses\":" + std::to_string(F.ObjectsParsed);
-    J += ",\"remoteHits\":" + std::to_string(F.RemoteHits);
-    J += ",\"remoteMisses\":" + std::to_string(F.RemoteMisses);
-    J += ",\"remotePuts\":" + std::to_string(F.RemotePuts);
-    J += ",\"remoteErrors\":" + std::to_string(F.RemoteErrors);
-  }
+  if (F.HasStats)
+    forEachFrameFact(F, [&](auto Member, const auto &V) {
+      J += ",\"" + std::string(buildFactOf(Member).Path) +
+           "\":" + std::to_string(V);
+    });
   J += "}";
   return J;
 }
@@ -117,35 +112,17 @@ bool sc::decodeFrame(const std::string &Json, DaemonFrame &F) {
       F.RetryAfterMs = static_cast<uint32_t>(C.parseInt());
     else if (Key == "coalesced")
       F.Coalesced = C.parseBool();
-    else if (Key == "compiled") {
-      F.Compiled = static_cast<unsigned>(C.parseInt());
-      F.HasStats = true;
-    } else if (Key == "total") {
-      F.Total = static_cast<unsigned>(C.parseInt());
-      F.HasStats = true;
-    } else if (Key == "scans") {
-      F.InterfaceScans = static_cast<uint64_t>(C.parseInt());
-      F.HasStats = true;
-    } else if (Key == "scanHits") {
-      F.ScanCacheHits = static_cast<uint64_t>(C.parseInt());
-      F.HasStats = true;
-    } else if (Key == "parses") {
-      F.ObjectsParsed = static_cast<uint64_t>(C.parseInt());
-      F.HasStats = true;
-    } else if (Key == "remoteHits") {
-      F.RemoteHits = static_cast<uint64_t>(C.parseInt());
-      F.HasStats = true;
-    } else if (Key == "remoteMisses") {
-      F.RemoteMisses = static_cast<uint64_t>(C.parseInt());
-      F.HasStats = true;
-    } else if (Key == "remotePuts") {
-      F.RemotePuts = static_cast<uint64_t>(C.parseInt());
-      F.HasStats = true;
-    } else if (Key == "remoteErrors") {
-      F.RemoteErrors = static_cast<uint64_t>(C.parseInt());
-      F.HasStats = true;
-    } else
-      C.skipValue();
+    else {
+      bool Known = false;
+      forEachFrameFact(F, [&](auto Member, auto &V) {
+        if (Known || Key != buildFactOf(Member).Path)
+          return;
+        V = static_cast<std::decay_t<decltype(V)>>(C.parseInt());
+        Known = F.HasStats = true;
+      });
+      if (!Known)
+        C.skipValue();
+    }
   });
 }
 
@@ -435,17 +412,8 @@ void BuildDaemon::runJob(const std::shared_ptr<BuildJob> &Job) {
   const bool Stateful = Config.Build.Compiler.Stateful.SkipMode !=
                         StatefulConfig::Mode::Stateless;
   DaemonFrame X;
-  X.Code = 0;
   X.HasStats = true;
-  X.Compiled = Stats.FilesCompiled;
-  X.Total = Stats.FilesTotal;
-  X.InterfaceScans = Stats.InterfaceScans;
-  X.ScanCacheHits = Stats.ScanCacheHits;
-  X.ObjectsParsed = Stats.ObjectsParsed;
-  X.RemoteHits = Stats.RemoteHits;
-  X.RemoteMisses = Stats.RemoteMisses;
-  X.RemotePuts = Stats.RemotePuts;
-  X.RemoteErrors = Stats.RemoteErrors;
+  forEachFrameFact(X, [&](auto Member, auto &V) { V = Stats.*Member; });
 
   // One compile wave fans out to every waiter. Waiters may differ in
   // Quiet/Run/RunArgs — those shape rendering, not the build — so each

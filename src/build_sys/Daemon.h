@@ -141,8 +141,8 @@ struct DaemonFrame {
   /// Suggested client backoff before retrying, in milliseconds.
   uint32_t RetryAfterMs = 0;
 
-  // Warm-cache counters of the build this frame terminates (exit
-  // frames of build requests only; zero otherwise).
+  // Build facts of the build this frame terminates (exit frames of
+  // build requests only; zero otherwise); see forEachFrameFact().
   bool HasStats = false;
   unsigned Compiled = 0;
   unsigned Total = 0;
@@ -161,6 +161,21 @@ struct DaemonFrame {
   uint64_t RemotePuts = 0;
   uint64_t RemoteErrors = 0;
 };
+
+/// Calls Do(&BuildStats::Member, X.Member) once per build fact an exit
+/// frame carries. On the wire each is keyed by its fact's report path
+/// (buildFactOf in build_sys/BuildFacts.h), e.g. "remote.hits".
+template <class F, class Fn> void forEachFrameFact(F &X, Fn Do) {
+  Do(&BuildStats::FilesCompiled, X.Compiled);
+  Do(&BuildStats::FilesTotal, X.Total);
+  Do(&BuildStats::InterfaceScans, X.InterfaceScans);
+  Do(&BuildStats::ScanCacheHits, X.ScanCacheHits);
+  Do(&BuildStats::ObjectsParsed, X.ObjectsParsed);
+  Do(&BuildStats::RemoteHits, X.RemoteHits);
+  Do(&BuildStats::RemoteMisses, X.RemoteMisses);
+  Do(&BuildStats::RemotePuts, X.RemotePuts);
+  Do(&BuildStats::RemoteErrors, X.RemoteErrors);
+}
 
 std::string encodeRequest(const DaemonRequest &R);
 bool decodeRequest(const std::string &Json, DaemonRequest &R);

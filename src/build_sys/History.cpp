@@ -6,7 +6,9 @@
 
 #include "build_sys/History.h"
 
-#include "build_sys/BuildSystem.h"
+#include "build_sys/BuildFacts.h"
+#include "build_sys/BuildReport.h" // factGroupsJson
+#include "cache_sys/CacheProtocol.h" // hex16
 #include "support/AtomicFile.h"
 #include "support/FlatJson.h"
 #include "support/Hashing.h"
@@ -16,6 +18,7 @@
 #include <cstdlib>
 #include <optional>
 #include <string_view>
+#include <type_traits>
 
 using namespace sc;
 
@@ -26,11 +29,15 @@ namespace {
 constexpr size_t MaxRecordTUs = 50;
 constexpr size_t MaxRecordSamples = 32;
 
-std::string hex16(uint64_t V) {
-  char Buf[32];
-  std::snprintf(Buf, sizeof(Buf), "%016llx",
-                static_cast<unsigned long long>(V));
-  return Buf;
+/// Sorts \p V by \p Weight, heaviest first (ties by \p Name), and keeps
+/// at most \p Cap elements.
+template <class T>
+void heaviestFirst(std::vector<T> &V, uint64_t T::*Weight,
+                   std::string T::*Name, size_t Cap) {
+  std::sort(V.begin(), V.end(), [&](const T &A, const T &B) {
+    return A.*Weight != B.*Weight ? A.*Weight > B.*Weight : A.*Name < B.*Name;
+  });
+  V.resize(std::min(V.size(), Cap));
 }
 
 //===--- Nested-JSON parsing on top of JsonCursor -------------------------===//
@@ -122,6 +129,128 @@ std::optional<std::string_view> checksummedBody(std::string_view Line) {
   return Body;
 }
 
+/// The record's own "passes" array holds per-pass times, so the
+/// `passes.*` fact group sits under "skip" in the ledger.
+std::string_view ledgerGroup(std::string_view Group) {
+  return Group == "passes" ? "skip" : Group;
+}
+
+/// Whether a record writes fact \p F: always for the facts schema-1
+/// records carried, which readers may index; others only when nonzero
+/// (a missing fact parses as zero), so registry-less records stay small.
+bool writtenInLedger(const BuildFact &F, bool Zero) {
+  const std::string_view G = F.group();
+  return !Zero || G == "files" || G == "phases_us" || G == "trace" ||
+         F.Path == "success" || F.Path == "read_only";
+}
+
+// The record's keys besides its facts, and each array element's keys:
+// serializeRecord() and parseRecord() walk the same lists.
+template <class R, class Fn> void forEachRecordField(R &X, Fn Do) {
+  Do("schema_version", X.SchemaVersion);
+  Do("build", X.BuildId);
+  Do("unix_ms", X.UnixMs);
+  Do("dirty", X.DirtyTUs);
+  Do("tus", X.TUs);
+  Do("passes", X.Passes);
+  Do("samples", X.Samples);
+  Do("counters", X.Counters);
+  Do("gauges", X.Gauges);
+  Do("warnings", X.WarningsCount);
+}
+
+template <class E, class Fn> void forEachElementField(E &X, Fn Do) {
+  using T = std::remove_const_t<E>;
+  if constexpr (std::is_same_v<T, HistoryTU>) {
+    Do("name", X.Name);
+    Do("us", X.DurUs);
+  } else if constexpr (std::is_same_v<T, HistoryPass>) {
+    Do("name", X.Name);
+    Do("us", X.DurUs);
+    Do("count", X.Count);
+  } else {
+    Do("stack", X.Stack);
+    Do("samples", X.Samples);
+    Do("weight_ns", X.WeightNs);
+  }
+}
+
+template <class T> constexpr bool IsVector = false;
+template <class T> constexpr bool IsVector<std::vector<T>> = true;
+template <class T> constexpr bool IsMap = false;
+template <class T> constexpr bool IsMap<std::map<std::string, T>> = true;
+
+template <class T> void writeJson(std::string &O, const T &V) {
+  if constexpr (std::is_same_v<T, std::string>) {
+    appendJsonString(O, V);
+  } else if constexpr (std::is_integral_v<T>) {
+    O += std::to_string(V);
+  } else if constexpr (std::is_floating_point_v<T>) {
+    char Num[64];
+    std::snprintf(Num, sizeof(Num), "%.10g", V);
+    O += Num;
+  } else if constexpr (IsVector<T>) {
+    O += '[';
+    for (size_t I = 0; I != V.size(); ++I) {
+      if (I)
+        O += ',';
+      writeJson(O, V[I]);
+    }
+    O += ']';
+  } else { // An object: a map's entries or an element's fields.
+    bool First = true;
+    auto Member = [&](const std::string &Key, const auto &X) {
+      O += First ? '{' : ',';
+      First = false;
+      appendJsonString(O, Key);
+      O += ':';
+      writeJson(O, X);
+    };
+    if constexpr (IsMap<T>)
+      for (const auto &KV : V)
+        Member(KV.first, KV.second);
+    else
+      forEachElementField(V, Member);
+    O += First ? "{}" : "}";
+  }
+}
+
+template <class T> void readJson(JsonCursor &C, T &V);
+
+/// Reads the value of \p Key into the member \p Walk names so; false
+/// when no member has that name.
+template <class Walk>
+bool readNamed(JsonCursor &C, const std::string &Key, Walk W) {
+  bool Found = false;
+  W([&](std::string_view Name, auto &M) {
+    if (!Found && Key == Name) {
+      readJson(C, M);
+      Found = true;
+    }
+  });
+  return Found;
+}
+
+template <class T> void readJson(JsonCursor &C, T &V) {
+  if constexpr (std::is_same_v<T, std::string>)
+    V = C.parseString();
+  else if constexpr (std::is_same_v<T, bool>)
+    V = C.parseBool();
+  else if constexpr (std::is_integral_v<T>)
+    V = static_cast<T>(parseU64Number(C));
+  else if constexpr (std::is_floating_point_v<T>)
+    V = parseNumber(C);
+  else if constexpr (IsVector<T>)
+    parseArrayElems(C, [&] { readJson(C, V.emplace_back()); });
+  else if constexpr (IsMap<T>)
+    parseObjectKeys(C, [&](const std::string &K) { readJson(C, V[K]); });
+  else
+    parseObjectKeys(C, [&](const std::string &K) {
+      if (!readNamed(C, K, [&](auto Do) { forEachElementField(V, Do); }))
+        skipAnyValue(C);
+    });
+}
+
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -129,90 +258,21 @@ std::optional<std::string_view> checksummedBody(std::string_view Line) {
 //===----------------------------------------------------------------------===//
 
 std::string BuildHistory::serializeRecord(const HistoryRecord &R) {
-  std::string O = std::string(SchemaTag) + ",\"schema_version\":" +
-                  std::to_string(R.SchemaVersion) +
-                  ",\"build\":" + std::to_string(R.BuildId) +
-                  ",\"unix_ms\":" + std::to_string(R.UnixMs);
-  O += std::string(",\"success\":") + (R.Success ? "true" : "false");
-  O += std::string(",\"read_only\":") + (R.ReadOnly ? "true" : "false");
-  O += ",\"files\":{\"compiled\":" + std::to_string(R.FilesCompiled) +
-       ",\"total\":" + std::to_string(R.FilesTotal) + "}";
-
-  O += ",\"dirty\":[";
-  for (size_t I = 0; I != R.DirtyTUs.size(); ++I) {
-    if (I)
-      O += ",";
-    appendJsonString(O, R.DirtyTUs[I]);
-  }
-  O += "]";
-
-  O += ",\"phases_us\":{\"scan\":" + std::to_string(R.ScanUs) +
-       ",\"compile\":" + std::to_string(R.CompileUs) +
-       ",\"link\":" + std::to_string(R.LinkUs) +
-       ",\"state_io\":" + std::to_string(R.StateIOUs) +
-       ",\"total\":" + std::to_string(R.TotalUs) + "}";
-
-  O += ",\"tus\":[";
-  for (size_t I = 0; I != R.TUs.size(); ++I) {
-    if (I)
-      O += ",";
-    O += "{\"name\":";
-    appendJsonString(O, R.TUs[I].Name);
-    O += ",\"us\":" + std::to_string(R.TUs[I].DurUs) + "}";
-  }
-  O += "]";
-
-  O += ",\"passes\":[";
-  for (size_t I = 0; I != R.Passes.size(); ++I) {
-    if (I)
-      O += ",";
-    O += "{\"name\":";
-    appendJsonString(O, R.Passes[I].Name);
-    O += ",\"us\":" + std::to_string(R.Passes[I].DurUs) +
-         ",\"count\":" + std::to_string(R.Passes[I].Count) + "}";
-  }
-  O += "]";
-
-  O += ",\"samples\":[";
-  for (size_t I = 0; I != R.Samples.size(); ++I) {
-    if (I)
-      O += ",";
-    O += "{\"stack\":";
-    appendJsonString(O, R.Samples[I].Stack);
-    O += ",\"samples\":" + std::to_string(R.Samples[I].Samples) +
-         ",\"weight_ns\":" + std::to_string(R.Samples[I].WeightNs) + "}";
-  }
-  O += "]";
-
-  O += ",\"counters\":{";
-  bool First = true;
-  for (const auto &KV : R.Counters) {
-    if (!First)
-      O += ",";
-    First = false;
-    appendJsonString(O, KV.first);
-    O += ":" + std::to_string(KV.second);
-  }
-  O += "},\"gauges\":{";
-  First = true;
-  char Num[64];
-  for (const auto &KV : R.Gauges) {
-    if (!First)
-      O += ",";
-    First = false;
-    appendJsonString(O, KV.first);
-    std::snprintf(Num, sizeof(Num), "%.10g", KV.second);
-    O += ":";
-    O += Num;
-  }
-  O += "}";
-
-  O += ",\"trace\":{\"events_dropped\":" +
-       std::to_string(R.TraceEventsDropped) + "}";
-  O += ",\"warnings\":" + std::to_string(R.WarningsCount);
-  if (!R.Error.empty()) {
+  std::string O(SchemaTag);
+  forEachRecordField(R, [&](const char *Key, const auto &V) {
+    O.append(",\"").append(Key).append("\":");
+    writeJson(O, V);
+  });
+  auto WholeUs = [](double Us) {
+    return std::to_string(static_cast<uint64_t>(Us));
+  };
+  auto Facts = factGroupsJson(R, WholeUs, /*Compact=*/true, writtenInLedger);
+  for (FactGroupJson &G : Facts)
+    G.Name = ledgerGroup(G.Name);
+  O += renderFactGroups(Facts, ",", "", /*Compact=*/true);
+  if (!R.ErrorText.empty()) {
     O += ",\"error\":";
-    appendJsonString(O, R.Error);
+    appendJsonString(O, R.ErrorText);
   }
 
   // Checksum covers every byte emitted so far; the line stays valid
@@ -230,108 +290,29 @@ bool BuildHistory::parseRecord(const std::string &Line, HistoryRecord &Out) {
   HistoryRecord R;
   bool SchemaOK = false;
   JsonCursor C(Doc);
+  // The facts under ledger key \p Group ("" for top-level facts).
+  auto Facts = [&R](std::string_view Group) {
+    return [&R, Group](auto Do) {
+      forEachBuildFact(R, [&](const BuildFact &F, auto &V) {
+        if (ledgerGroup(F.group()) == Group)
+          Do(F.key(), V);
+      });
+    };
+  };
   parseObjectKeys(C, [&](const std::string &Key) {
     if (Key == "schema")
       SchemaOK = C.parseString() == "scbuild-history";
-    else if (Key == "schema_version")
-      R.SchemaVersion = parseU64Number(C);
-    else if (Key == "build")
-      R.BuildId = parseU64Number(C);
-    else if (Key == "unix_ms")
-      R.UnixMs = parseU64Number(C);
-    else if (Key == "success")
-      R.Success = C.parseBool();
-    else if (Key == "read_only")
-      R.ReadOnly = C.parseBool();
-    else if (Key == "files")
-      parseObjectKeys(C, [&](const std::string &K) {
-        if (K == "compiled")
-          R.FilesCompiled = static_cast<unsigned>(parseU64Number(C));
-        else if (K == "total")
-          R.FilesTotal = static_cast<unsigned>(parseU64Number(C));
-        else
-          skipAnyValue(C);
-      });
-    else if (Key == "dirty")
-      parseArrayElems(C, [&] { R.DirtyTUs.push_back(C.parseString()); });
-    else if (Key == "phases_us")
-      parseObjectKeys(C, [&](const std::string &K) {
-        if (K == "scan")
-          R.ScanUs = parseU64Number(C);
-        else if (K == "compile")
-          R.CompileUs = parseU64Number(C);
-        else if (K == "link")
-          R.LinkUs = parseU64Number(C);
-        else if (K == "state_io")
-          R.StateIOUs = parseU64Number(C);
-        else if (K == "total")
-          R.TotalUs = parseU64Number(C);
-        else
-          skipAnyValue(C);
-      });
-    else if (Key == "tus")
-      parseArrayElems(C, [&] {
-        HistoryTU T;
-        parseObjectKeys(C, [&](const std::string &K) {
-          if (K == "name")
-            T.Name = C.parseString();
-          else if (K == "us")
-            T.DurUs = parseU64Number(C);
-          else
-            skipAnyValue(C);
-        });
-        R.TUs.push_back(std::move(T));
-      });
-    else if (Key == "passes")
-      parseArrayElems(C, [&] {
-        HistoryPass P;
-        parseObjectKeys(C, [&](const std::string &K) {
-          if (K == "name")
-            P.Name = C.parseString();
-          else if (K == "us")
-            P.DurUs = parseU64Number(C);
-          else if (K == "count")
-            P.Count = parseU64Number(C);
-          else
-            skipAnyValue(C);
-        });
-        R.Passes.push_back(std::move(P));
-      });
-    else if (Key == "samples")
-      parseArrayElems(C, [&] {
-        HistorySample Smp;
-        parseObjectKeys(C, [&](const std::string &K) {
-          if (K == "stack")
-            Smp.Stack = C.parseString();
-          else if (K == "samples")
-            Smp.Samples = parseU64Number(C);
-          else if (K == "weight_ns")
-            Smp.WeightNs = parseU64Number(C);
-          else
-            skipAnyValue(C);
-        });
-        R.Samples.push_back(std::move(Smp));
-      });
-    else if (Key == "counters")
-      parseObjectKeys(C, [&](const std::string &K) {
-        R.Counters[K] = parseU64Number(C);
-      });
-    else if (Key == "gauges")
-      parseObjectKeys(C,
-                      [&](const std::string &K) { R.Gauges[K] = parseNumber(C); });
-    else if (Key == "trace")
-      parseObjectKeys(C, [&](const std::string &K) {
-        if (K == "events_dropped")
-          R.TraceEventsDropped = parseU64Number(C);
-        else
-          skipAnyValue(C);
-      });
-    else if (Key == "warnings")
-      R.WarningsCount = parseU64Number(C);
     else if (Key == "error")
-      R.Error = C.parseString();
-    else
-      skipAnyValue(C);
+      R.ErrorText = C.parseString();
+    else if (!readNamed(C, Key, [&](auto Do) { forEachRecordField(R, Do); })) {
+      if (C.peek() == '{') // A fact group.
+        parseObjectKeys(C, [&](const std::string &K) {
+          if (!readNamed(C, K, Facts(Key)))
+            skipAnyValue(C);
+        });
+      else if (!readNamed(C, Key, Facts("")))
+        skipAnyValue(C);
+    }
   });
   if (C.Bad || !SchemaOK)
     return false;
@@ -406,6 +387,7 @@ bool BuildHistory::append(VirtualFileSystem &FS, const std::string &Path,
     Lines.pop_back();
     ++Skipped;
   }
+  R.HistoryRecordsSkipped = Skipped;
   if (SkippedOut)
     *SkippedOut = Skipped;
   if (R.BuildId == 0)
@@ -431,20 +413,9 @@ HistoryRecord sc::makeHistoryRecord(const BuildStats &S,
                                     const std::vector<TraceEvent> &Events,
                                     uint64_t BuildStartNs, uint64_t UnixMs) {
   HistoryRecord R;
+  static_cast<BuildStats &>(R) = S;
   R.UnixMs = UnixMs;
-  R.Success = S.Success;
-  R.ReadOnly = S.ReadOnly;
-  R.FilesCompiled = S.FilesCompiled;
-  R.FilesTotal = S.FilesTotal;
-  R.DirtyTUs = S.DirtyTUs;
-  R.ScanUs = static_cast<uint64_t>(S.ScanUs);
-  R.CompileUs = static_cast<uint64_t>(S.CompileUs);
-  R.LinkUs = static_cast<uint64_t>(S.LinkUs);
-  R.StateIOUs = static_cast<uint64_t>(S.StateIOUs);
-  R.TotalUs = static_cast<uint64_t>(S.TotalUs);
-  R.TraceEventsDropped = S.TraceEventsDropped;
   R.WarningsCount = S.Warnings.size();
-  R.Error = S.ErrorText;
 
   // Aggregate this build's spans. A resident daemon's recorder also
   // holds earlier builds' events; the start-time filter scopes the
@@ -480,34 +451,23 @@ HistoryRecord sc::makeHistoryRecord(const BuildStats &S,
     }
   }
 
-  std::sort(R.TUs.begin(), R.TUs.end(),
-            [](const HistoryTU &A, const HistoryTU &B) {
-              return A.DurUs != B.DurUs ? A.DurUs > B.DurUs : A.Name < B.Name;
-            });
-  if (R.TUs.size() > MaxRecordTUs)
-    R.TUs.resize(MaxRecordTUs);
-
+  heaviestFirst(R.TUs, &HistoryTU::DurUs, &HistoryTU::Name, MaxRecordTUs);
   for (const auto &KV : PassAgg)
     R.Passes.push_back({KV.first, KV.second.first, KV.second.second});
-  std::sort(R.Passes.begin(), R.Passes.end(),
-            [](const HistoryPass &A, const HistoryPass &B) {
-              return A.DurUs != B.DurUs ? A.DurUs > B.DurUs : A.Name < B.Name;
-            });
-
-  std::sort(Samples.begin(), Samples.end(),
-            [](const HistorySample &A, const HistorySample &B) {
-              return A.WeightNs != B.WeightNs ? A.WeightNs > B.WeightNs
-                                              : A.Stack < B.Stack;
-            });
-  if (Samples.size() > MaxRecordSamples)
-    Samples.resize(MaxRecordSamples);
+  heaviestFirst(R.Passes, &HistoryPass::DurUs, &HistoryPass::Name,
+                R.Passes.size());
+  heaviestFirst(Samples, &HistorySample::WeightNs, &HistorySample::Stack,
+                MaxRecordSamples);
   R.Samples = std::move(Samples);
 
   if (Metrics) {
+    // The build.* metrics restate facts the record already carries.
     for (const auto &KV : Metrics->counters())
-      R.Counters[KV.first] = KV.second;
+      if (KV.first.rfind("build.", 0) != 0)
+        R.Counters[KV.first] = KV.second;
     for (const auto &KV : Metrics->gauges())
-      R.Gauges[KV.first] = KV.second;
+      if (KV.first.rfind("build.", 0) != 0)
+        R.Gauges[KV.first] = KV.second;
   }
   return R;
 }

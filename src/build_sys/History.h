@@ -30,6 +30,7 @@
 #ifndef SC_BUILD_SYS_HISTORY_H
 #define SC_BUILD_SYS_HISTORY_H
 
+#include "build_sys/BuildSystem.h"
 #include "support/FileSystem.h"
 #include "support/Metrics.h"
 #include "support/Trace.h"
@@ -40,8 +41,6 @@
 #include <vector>
 
 namespace sc {
-
-struct BuildStats;
 
 /// Current ledger record schema. Additive fields do not bump this
 /// (loaders skip unknown keys); removing or re-typing a field does.
@@ -68,37 +67,24 @@ struct HistorySample {
   uint64_t WeightNs = 0;
 };
 
-/// One build, as the ledger remembers it.
-struct HistoryRecord {
+/// One build, as the ledger remembers it: the build's facts (the
+/// BuildStats part, written and parsed by the list in BuildFacts.h)
+/// plus what only the ledger keeps.
+struct HistoryRecord : BuildStats {
   uint64_t SchemaVersion = HistorySchemaVersion;
-  uint64_t BuildId = 0; // Monotone per ledger; assigned by append().
-  uint64_t UnixMs = 0;  // Wall-clock build end.
-
-  bool Success = false;
-  bool ReadOnly = false;
-  unsigned FilesCompiled = 0;
-  unsigned FilesTotal = 0;
-  std::vector<std::string> DirtyTUs;
-
-  // Phase wall times, microseconds (mirrors BuildStats).
-  uint64_t ScanUs = 0;
-  uint64_t CompileUs = 0;
-  uint64_t LinkUs = 0;
-  uint64_t StateIOUs = 0;
-  uint64_t TotalUs = 0;
+  uint64_t UnixMs = 0; // Wall-clock build end.
 
   std::vector<HistoryTU> TUs;         // Slowest first, capped.
   std::vector<HistoryPass> Passes;    // Aggregate per pass name.
   std::vector<HistorySample> Samples; // Profiler aggregates, capped.
 
-  // Metrics snapshot at build exit (build.* / lock.* / pool.* /
-  // daemon.* / cache.* — whatever the registry holds).
+  // Metrics snapshot at build exit, minus the build.* facts the record
+  // already carries: lock.* / pool.* / daemon.* / cache.* and whatever
+  // else the registry holds.
   std::map<std::string, uint64_t> Counters;
   std::map<std::string, double> Gauges;
 
-  uint64_t TraceEventsDropped = 0;
-  uint64_t WarningsCount = 0;
-  std::string Error; // Empty on success.
+  uint64_t WarningsCount = 0; // Warnings.size() when the record was made.
 };
 
 /// load() result: the surviving records plus how many damaged lines
@@ -129,9 +115,10 @@ public:
   /// Appends \p R, assigning it the next BuildId (newest valid + 1) and
   /// retaining at most \p Limit records (oldest dropped) in one atomic
   /// rewrite. Lines that fail their checksum or lack the schema tag are
-  /// dropped; of the rest only the newest is parsed. \p SkippedOut
-  /// (optional) reports damaged lines dropped. Returns false when the
-  /// rewrite itself failed.
+  /// dropped; of the rest only the newest is parsed. The count of
+  /// damaged lines dropped lands in R.HistoryRecordsSkipped before \p R
+  /// is written, and in \p SkippedOut (optional). Returns false when
+  /// the rewrite itself failed.
   static bool append(VirtualFileSystem &FS, const std::string &Path,
                      HistoryRecord &R, unsigned Limit,
                      uint64_t *SkippedOut = nullptr);

@@ -78,6 +78,21 @@ void appendU64Field(std::string &Out, const char *Key, uint64_t V) {
   Out += std::to_string(V);
 }
 
+/// Calls Do(WireKey, Member) once per CacheStats counter: the one list
+/// the stats response is encoded and decoded by.
+template <class S, class Fn> void forEachCacheStat(S &St, Fn Do) {
+  Do("gets", St.Gets);
+  Do("hits", St.Hits);
+  Do("misses", St.Misses);
+  Do("puts", St.Puts);
+  Do("touches", St.Touches);
+  Do("evictions", St.Evictions);
+  Do("corruptDropped", St.CorruptDropped);
+  Do("entries", St.Entries);
+  Do("bytesStored", St.BytesStored);
+  Do("maxBytes", St.MaxBytes);
+}
+
 } // namespace
 
 std::string sc::encodeCacheRequest(const CacheRequest &R) {
@@ -143,16 +158,9 @@ std::string sc::encodeCacheResponse(const CacheResponse &R) {
   }
   if (R.HasStats) {
     Out += ",\"hasStats\":true";
-    appendU64Field(Out, "gets", R.Stats.Gets);
-    appendU64Field(Out, "hits", R.Stats.Hits);
-    appendU64Field(Out, "misses", R.Stats.Misses);
-    appendU64Field(Out, "puts", R.Stats.Puts);
-    appendU64Field(Out, "touches", R.Stats.Touches);
-    appendU64Field(Out, "evictions", R.Stats.Evictions);
-    appendU64Field(Out, "corruptDropped", R.Stats.CorruptDropped);
-    appendU64Field(Out, "entries", R.Stats.Entries);
-    appendU64Field(Out, "bytesStored", R.Stats.BytesStored);
-    appendU64Field(Out, "maxBytes", R.Stats.MaxBytes);
+    forEachCacheStat(R.Stats, [&](const char *Key, uint64_t V) {
+      appendU64Field(Out, Key, V);
+    });
   }
   if (!R.MetricsText.empty()) {
     Out += ",\"metricsText\":";
@@ -185,32 +193,20 @@ bool sc::decodeCacheResponse(const std::string &Json, CacheResponse &R) {
       R.Error = C.parseString();
     } else if (K == "hasStats") {
       R.HasStats = C.parseBool();
-    } else if (K == "gets") {
-      R.Stats.Gets = C.parseU64();
-    } else if (K == "hits") {
-      R.Stats.Hits = C.parseU64();
-    } else if (K == "misses") {
-      R.Stats.Misses = C.parseU64();
-    } else if (K == "puts") {
-      R.Stats.Puts = C.parseU64();
-    } else if (K == "touches") {
-      R.Stats.Touches = C.parseU64();
-    } else if (K == "evictions") {
-      R.Stats.Evictions = C.parseU64();
-    } else if (K == "corruptDropped") {
-      R.Stats.CorruptDropped = C.parseU64();
-    } else if (K == "entries") {
-      R.Stats.Entries = C.parseU64();
-    } else if (K == "bytesStored") {
-      R.Stats.BytesStored = C.parseU64();
-    } else if (K == "maxBytes") {
-      R.Stats.MaxBytes = C.parseU64();
     } else if (K == "metricsText") {
       R.MetricsText = C.parseString();
     } else if (K == "metricsJson") {
       R.MetricsJson = C.parseString();
     } else {
-      C.skipValue();
+      bool Stat = false;
+      forEachCacheStat(R.Stats, [&](const char *Name, uint64_t &V) {
+        if (!Stat && K == Name) {
+          V = C.parseU64();
+          Stat = true;
+        }
+      });
+      if (!Stat)
+        C.skipValue();
     }
   });
   return Parsed && SawOk;

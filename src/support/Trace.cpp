@@ -6,42 +6,17 @@
 
 #include "support/Trace.h"
 
+#include "support/FlatJson.h"
+
 #include <algorithm>
 #include <cstdio>
 
 using namespace sc;
 
 std::string sc::jsonEscape(const std::string &S) {
-  std::string Out;
-  Out.reserve(S.size());
-  for (unsigned char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\r':
-      Out += "\\r";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    default:
-      if (C < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        Out += Buf;
-      } else {
-        Out += static_cast<char>(C);
-      }
-    }
-  }
-  return Out;
+  std::string Quoted;
+  appendJsonString(Quoted, S);
+  return Quoted.substr(1, Quoted.size() - 2);
 }
 
 namespace {

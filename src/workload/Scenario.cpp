@@ -439,15 +439,15 @@ bool ScenarioRunner::run() {
     O.Phase = Phase;
     O.Iteration = Iter;
     O.ChangedFiles = std::move(Changed);
-    ScenarioBuildResult R = buildOnce();
-    O.BuildOk = R.Ok;
-    O.BuildError = R.Error;
+    BuildStats R = buildOnce();
+    O.BuildOk = R.Success;
+    O.BuildError = R.ErrorText;
     O.FilesCompiled = R.FilesCompiled;
     O.FilesTotal = R.FilesTotal;
     O.DepsMissing = R.DepsMissing;
     O.DepsRedundant = R.DepsRedundant;
-    O.Findings = R.Findings;
-    if (!R.Ok) {
+    O.Findings = R.DepFindings;
+    if (!R.Success) {
       Failed = true;
     } else {
       if (!O.Findings.empty())
@@ -596,40 +596,27 @@ bool ScenarioRunner::runNode(const ScenarioNode &N, RNG &Rand,
   return true;
 }
 
-ScenarioBuildResult ScenarioRunner::buildOnce() {
-  if (Opts.ExternalBuild) {
-    ScenarioBuildResult R = Opts.ExternalBuild();
-    if (R.Ok && Opts.VerifyDeps && R.Findings.empty()) {
-      // The external transport (the daemon) does not run the verifier;
-      // cross-check in-process against the model's declared edges.
-      std::map<std::string, std::vector<std::string>> Declared;
-      const std::string Prefix = Opts.OutDir + "/";
-      for (const std::string &Path : FS.listFiles()) {
-        if (Path.size() > 3 &&
-            Path.compare(Path.size() - 3, 3, ".mc") == 0 &&
-            Path.compare(0, Prefix.size(), Prefix) != 0)
-          Declared[Path];
-      }
-      for (const auto &E : Model.renderedImportEdges())
-        Declared[E.first].push_back(E.second);
-      DepVerifyReport Rep = DepVerifier::verify(FS, Declared, &Plant);
-      R.DepsMissing = Rep.NumMissing;
-      R.DepsRedundant = Rep.NumRedundant;
-      for (const DepFinding &F : Rep.Findings)
-        R.Findings.push_back(F.reason());
-    }
-    return R;
+BuildStats ScenarioRunner::buildOnce() {
+  if (!Opts.ExternalBuild)
+    return Driver->build();
+  BuildStats R = Opts.ExternalBuild();
+  if (R.Success && Opts.VerifyDeps && R.DepFindings.empty()) {
+    // The external transport (the daemon) does not run the verifier;
+    // cross-check in-process against the model's declared edges.
+    std::map<std::string, std::vector<std::string>> Declared;
+    const std::string Prefix = Opts.OutDir + "/";
+    for (const std::string &Path : FS.listFiles())
+      if (Path.size() > 3 && Path.compare(Path.size() - 3, 3, ".mc") == 0 &&
+          Path.compare(0, Prefix.size(), Prefix) != 0)
+        Declared[Path];
+    for (const auto &E : Model.renderedImportEdges())
+      Declared[E.first].push_back(E.second);
+    DepVerifyReport Rep = DepVerifier::verify(FS, Declared, &Plant);
+    R.DepsMissing = Rep.NumMissing;
+    R.DepsRedundant = Rep.NumRedundant;
+    for (const DepFinding &F : Rep.Findings)
+      R.DepFindings.push_back(F.reason());
   }
-
-  BuildStats S = Driver->build();
-  ScenarioBuildResult R;
-  R.Ok = S.Success;
-  R.Error = S.ErrorText;
-  R.FilesCompiled = S.FilesCompiled;
-  R.FilesTotal = S.FilesTotal;
-  R.DepsMissing = S.DepsMissing;
-  R.DepsRedundant = S.DepsRedundant;
-  R.Findings = S.DepFindings;
   return R;
 }
 

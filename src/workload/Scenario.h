@@ -133,18 +133,6 @@ std::string renderScenario(const Scenario &S);
 // Replay
 //===----------------------------------------------------------------------===//
 
-/// What one externally-driven build (e.g. through the daemon) did;
-/// the hook fills it from whatever transport it used.
-struct ScenarioBuildResult {
-  bool Ok = false;
-  std::string Error;
-  unsigned FilesCompiled = 0;
-  unsigned FilesTotal = 0;
-  unsigned DepsMissing = 0;
-  unsigned DepsRedundant = 0;
-  std::vector<std::string> Findings;
-};
-
 struct ScenarioRunOptions {
   unsigned Jobs = 1;
   unsigned OptLevel = 2;
@@ -165,7 +153,7 @@ struct ScenarioRunOptions {
   /// phase build (scworkload --via-daemon routes builds through a
   /// running scbuildd here). Verification and scratch comparison stay
   /// in-process either way.
-  std::function<ScenarioBuildResult()> ExternalBuild;
+  std::function<BuildStats()> ExternalBuild;
 };
 
 /// One phase iteration's outcome ("<initial>" for the pre-phase
@@ -214,7 +202,7 @@ private:
   bool runNode(const ScenarioNode &N, RNG &Rand,
                const std::string &PhaseTag,
                std::vector<std::string> &Changed);
-  ScenarioBuildResult buildOnce();
+  BuildStats buildOnce();
   bool scratchMatches(std::string &Detail);
 
   const Scenario Sc;

@@ -520,6 +520,54 @@ for name, value in report["metrics"]["counters"].items():
     assert samples[prom] == value, (prom, samples[prom], value)
 PYEOF
 
+# One build fact, one value: for the daemon's single build above, every
+# integer fact in the fact table of docs/OBSERVABILITY.md must read the
+# same in --report-json, in the ledger's newest record and in the
+# Prometheus text, and the table must list every build.* fact metric.
+export FACTS_DOC="$SCENDIR/../../docs/OBSERVABILITY.md"
+python3 - <<'PYEOF' || { echo "FAIL: build facts disagree"; exit 1; }
+import json, os, re
+doc = open(os.environ["FACTS_DOC"]).read()
+facts = re.findall(r"^\| `[A-Za-z.]+` \| (counter|gauge|time) \| [^|]+ \| "
+                   r"`([a-z_.]+)` \| `(build\.[a-z_]+)` \|", doc, re.M)
+assert len(facts) > 30, f"fact table not found ({len(facts)} rows)"
+report = json.load(open("dreport.json"))
+ledger = [json.loads(l) for l in open("fleet/out/history.jsonl")][-1]
+samples = {}
+for line in open("metrics.prom"):
+    if line.strip() and not line.startswith("#"):
+        name, value = line.rsplit(" ", 1)
+        samples[name] = float(value)
+
+def at(doc, path, default=None):
+    for part in path.split("."):
+        if part not in doc and default is not None:
+            return default
+        doc = doc[part]
+    return doc
+
+checked = 0
+for kind, path, metric in facts:
+    if kind == "time":
+        continue  # Report, ledger and registry round times differently.
+    want = int(at(report, path))
+    # The ledger writes `passes` as `skip` and omits the zero-valued
+    # facts that schema 1 did not carry.
+    ledger_path = re.sub(r"^passes\.", "skip.", path)
+    assert int(at(ledger, ledger_path, 0)) == want, (path, ledger_path, want)
+    prom = "scbuild_" + metric.replace(".", "_")
+    prom += "_total" if kind == "counter" else ""
+    assert samples[prom] == want, (path, prom, samples[prom], want)
+    checked += 1
+derived = {"build.builds", "build.warnings", "build.history_appends"}
+published = {n for n in list(report["metrics"]["counters"]) +
+             list(report["metrics"]["gauges"])
+             if n.startswith("build.")} - derived
+listed = {m for _, _, m in facts}
+assert published == listed, published ^ listed
+assert checked > 20, checked
+PYEOF
+
 # sccached: the same metrics verb + the shared "metrics" key in
 # --stats --json (the shape scbuildd --report-json uses). A fresh
 # store — the default cache dir would resurrect the earlier section's

@@ -199,10 +199,10 @@ int main(int argc, char **argv) {
   if (ViaDaemon) {
     const std::string Sock = daemonSocketPath(Dir, Opts.OutDir);
     Opts.ExternalBuild = [Sock]() {
-      ScenarioBuildResult R;
+      BuildStats R;
       DaemonClient Client = DaemonClient::connect(Sock);
       if (!Client.connected()) {
-        R.Error = "no daemon is serving '" + Sock + "'";
+        R.ErrorText = "no daemon is serving '" + Sock + "'";
         return R;
       }
       DaemonRequest Req;
@@ -211,9 +211,9 @@ int main(int argc, char **argv) {
       std::string Err, Captured;
       auto Capture = [&](const std::string &T) { Captured += T; };
       int Code = Client.roundTrip(Req, Capture, Capture, nullptr, &Err);
-      R.Ok = Code == 0;
-      if (!R.Ok)
-        R.Error = !Err.empty() ? Err : Captured;
+      R.Success = Code == 0;
+      if (!R.Success)
+        R.ErrorText = !Err.empty() ? Err : Captured;
       return R;
     };
   }
