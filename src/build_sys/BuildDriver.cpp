@@ -445,23 +445,12 @@ BuildStats BuildDriverImpl::build() {
   Objects.setWritable(!ReadOnlyBuild);
   Objects.resetStoreStatus();
 
-  // Sweep staging debris (`*.tmp.<pid>.<n>` orphans) left under OutDir
-  // by a crash between temp-write and rename; without this they leak
-  // forever. Safe exactly because we hold the build lock — no other
-  // cooperating process can be mid-stage right now.
-  if (!ReadOnlyBuild) {
-    S.TempFilesSwept = sweepAtomicTemps(FS, Options.OutDir);
-    if (S.TempFilesSwept && tracing())
-      trace()->instant("build", "tempSweep",
-                       "{\"removed\":" + std::to_string(S.TempFilesSwept) +
-                           "}");
-  }
-
   // Warm-cache accounting: deltas of the resident caches' lifetime
   // counters across this build() call.
   const uint64_t ScanHits0 = Scanner.cacheHits();
   const uint64_t ScanMisses0 = Scanner.cacheMisses();
   const uint64_t Parses0 = Objects.deserializations();
+  const uint64_t ObjectReads0 = Objects.objectReads();
 
   runPhases(S);
   S.TotalUs = static_cast<double>(BuildSpan.elapsedNs()) / 1000.0;
@@ -474,6 +463,7 @@ BuildStats BuildDriverImpl::build() {
   S.ScanCacheHits = Scanner.cacheHits() - ScanHits0;
   S.InterfaceScans = Scanner.cacheMisses() - ScanMisses0;
   S.ObjectsParsed = Objects.deserializations() - Parses0;
+  S.ObjectsRead = Objects.objectReads() - ObjectReads0;
   if (Profiler)
     Profiler->stop(); // Folds sample aggregates into the trace.
   if (tracing()) {
@@ -536,14 +526,50 @@ void BuildDriverImpl::runPhases(BuildStats &S) {
   //===--- Scan: sources, interfaces, import DAG, dirty set ---------------===//
 
   TraceSpan ScanSpan(trace(), "build", "scan", &S.ScanUs);
-  std::map<std::string, std::string> Sources;
-  for (const std::string &Path : FS.listFiles()) {
+  // One listing serves the temp sweep and the source scan.
+  const std::vector<std::string> Files = FS.listFiles();
+
+  // Sweep staging debris (`*.tmp.<pid>.<n>` orphans) left under OutDir
+  // by a crash between temp-write and rename; without this they leak
+  // forever. Safe exactly because we hold the build lock — no other
+  // cooperating process can be mid-stage right now.
+  if (!ReadOnlyBuild) {
+    S.TempFilesSwept = sweepAtomicTemps(FS, Options.OutDir, Files);
+    if (S.TempFilesSwept && tracing())
+      trace()->instant("build", "tempSweep",
+                       "{\"removed\":" + std::to_string(S.TempFilesSwept) +
+                           "}");
+  }
+
+  // A source that is stat-clean against its manifest entry keeps the
+  // recorded content hash, and when the scanner still holds the result
+  // for that hash the file is not read at all. Any other source is read
+  // and scanned, hashed unless stat-clean. The stat is taken before the
+  // read, so a file changed in between fails the next build's stat
+  // check. Bytes read are kept for this build's compile jobs only.
+  std::map<std::string, const ScanResult *> Scans;
+  std::map<std::string, FileStat> SourceStats;
+  std::map<std::string, std::string> SourceBytes;
+  for (const std::string &Path : Files) {
     if (!isSourcePath(Path, Options.OutDir))
       continue;
-    if (std::optional<std::string> Content = FS.readFile(Path))
-      Sources.emplace(Path, std::move(*Content));
+    const std::optional<FileStat> St = FS.stat(Path);
+    const ManifestEntry *E = Manifest.lookup(Path);
+    const bool StatClean = E && Manifest.statClean(St, E->SourceStat);
+    const ScanResult *SR = StatClean ? Scanner.lookup(E->ContentHash) : nullptr;
+    if (!SR) {
+      std::optional<std::string> Content = FS.readFile(Path);
+      if (!Content)
+        continue;
+      ++S.SourcesRead;
+      SR = StatClean ? &Scanner.scan(Path, *Content, E->ContentHash)
+                     : &Scanner.scan(Path, *Content);
+      SourceBytes.emplace(Path, std::move(*Content));
+    }
+    Scans.emplace(Path, SR);
+    SourceStats.emplace(Path, St.value_or(FileStat{}));
   }
-  S.FilesTotal = static_cast<unsigned>(Sources.size());
+  S.FilesTotal = static_cast<unsigned>(Scans.size());
 
   // Files that disappeared since the last build: drop every trace —
   // manifest entry, compiler state, cached object — so they neither
@@ -553,17 +579,13 @@ void BuildDriverImpl::runPhases(BuildStats &S) {
   // state in place for as long as the project stayed broken.
   std::vector<std::string> Gone;
   for (const auto &[Path, Entry] : Manifest.entries())
-    if (!Sources.count(Path))
+    if (!Scans.count(Path))
       Gone.push_back(Path);
   for (const std::string &Path : Gone) {
     Manifest.remove(Path);
     DB.remove(Path);
     Objects.invalidate(Path);
   }
-
-  std::map<std::string, const ScanResult *> Scans;
-  for (const auto &[Path, Content] : Sources)
-    Scans[Path] = &Scanner.scan(Path, Content);
 
   ImportGraph Graph = ImportGraph::build(Scans);
   if (!Graph.valid()) {
@@ -603,15 +625,30 @@ void BuildDriverImpl::runPhases(BuildStats &S) {
     const ScanResult *SR = Scans.at(Path);
     const ManifestEntry *E = Manifest.lookup(Path);
     const uint64_t ImportsEff = Graph.importsEffectiveHash(Path);
-    bool NeedsCompile =
-        !E || E->ConfigHash != Config || E->ContentHash != SR->ContentHash ||
-        E->ImportsEffectiveHash != ImportsEff ||
-        // Missing/vandalized/corrupt object: self-heal by recompiling.
-        !Objects.load(Path, E->ObjectHash);
+    bool NeedsCompile = !E || E->ConfigHash != Config ||
+                        E->ContentHash != SR->ContentHash ||
+                        E->ImportsEffectiveHash != ImportsEff;
     if (!NeedsCompile) {
-      CleanTUs.emplace_back(Path, inputKey(SR->ContentHash, ImportsEff, Config),
-                            E->ObjectHash);
-      continue;
+      // Missing/vandalized/corrupt object: self-heal by recompiling. A
+      // stat-clean object is not hashed, and not read when resident.
+      const std::optional<FileStat> ObjStat =
+          FS.stat(Objects.objectPath(Path));
+      NeedsCompile = !Objects.load(Path, E->ObjectHash,
+                                   Manifest.statClean(ObjStat, E->ObjectStat));
+      if (!NeedsCompile) {
+        // Confirmed unchanged: record the stats this build saw, so the
+        // next build can trust them. Only here — a TU compiled or
+        // fetched is recorded without stats until a later build
+        // confirms it, so a cold build's manifest holds no stats.
+        ManifestEntry Seen = *E;
+        Seen.SourceStat = SourceStats.at(Path);
+        Seen.ObjectStat =
+            Objects.onDisk(Path) ? ObjStat.value_or(FileStat{}) : FileStat{};
+        Manifest.update(Path, Seen);
+        CleanTUs.emplace_back(
+            Path, inputKey(SR->ContentHash, ImportsEff, Config), Seen.ObjectHash);
+        continue;
+      }
     }
     // Local miss: before scheduling a compile, ask the remote tier.
     // A verified remote hit is admitted into the local object cache
@@ -661,9 +698,23 @@ void BuildDriverImpl::runPhases(BuildStats &S) {
   std::vector<CompileJob> Jobs;
   Jobs.reserve(Dirty.size());
   for (const std::string &Path : Dirty) {
+    // A stat-clean source whose scan result was resident is read only
+    // now that it compiles.
+    auto Src = SourceBytes.find(Path);
+    if (Src == SourceBytes.end()) {
+      std::optional<std::string> Content = FS.readFile(Path);
+      if (!Content) {
+        Failures.emplace_back(Path, "build error: " + Path +
+                                        ": could not read the source\n");
+        Manifest.remove(Path);
+        continue;
+      }
+      ++S.SourcesRead;
+      Src = SourceBytes.emplace(Path, std::move(*Content)).first;
+    }
     CompileJob J;
     J.Path = Path;
-    J.Source = &Sources.at(Path);
+    J.Source = &Src->second;
     for (const std::string &Dep : Graph.imports(Path)) {
       const ModuleInterface &Iface = Scans.at(Dep)->Interface;
       J.Imports.insert(J.Imports.end(), Iface.begin(), Iface.end());
@@ -708,7 +759,10 @@ void BuildDriverImpl::runPhases(BuildStats &S) {
     const bool WantPublish = !Options.RemoteCache.empty() && !RemoteDisabled;
     std::string PubBytes;
     ManifestEntry E;
-    E.ContentHash = Scans.at(Jobs[I].Path)->ContentHash;
+    // The hash of the bytes compiled: a source read only now differs
+    // from its scan when it changed during the build, and then the
+    // manifest must not vouch for the scanned content.
+    E.ContentHash = hashString(*Jobs[I].Source);
     E.ImportsEffectiveHash = Graph.importsEffectiveHash(Jobs[I].Path);
     E.ObjectHash = Objects.store(Jobs[I].Path, std::move(R.Object),
                                  WantPublish ? &PubBytes : nullptr);
@@ -785,9 +839,10 @@ void BuildDriverImpl::runPhases(BuildStats &S) {
   //===--- Link: all objects into one program image -----------------------===//
 
   TraceSpan LinkSpan(trace(), "build", "link", &S.LinkUs);
-  // Every TU reaching link was, this build, either validated against
-  // its disk bytes at scan or stored/fetched: link from those in-memory
-  // modules instead of reading and hashing each object a second time.
+  // Every TU reaching link was, this build, either validated at scan
+  // (its disk bytes hashed, or its file stat-clean) or stored/fetched:
+  // link from those in-memory modules instead of reading each object a
+  // second time.
   std::vector<const MModule *> LinkSet;
   LinkSet.reserve(Graph.topologicalOrder().size());
   std::string LinkErrors;

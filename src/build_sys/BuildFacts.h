@@ -82,6 +82,8 @@ template <class S, class Fn> void forEachBuildFact(S &St, Fn Do) {
   Do({"object_bytes", "build.object_bytes", G}, St.ObjectBytes);
   Do({"scan.interface_scans", "build.interface_scans", C}, St.InterfaceScans);
   Do({"scan.cache_hits", "build.scan_cache_hits", C}, St.ScanCacheHits);
+  Do({"scan.sources_read", "build.sources_read", C}, St.SourcesRead);
+  Do({"scan.objects_read", "build.objects_read", C}, St.ObjectsRead);
   Do({"link.objects_parsed", "build.objects_parsed", C}, St.ObjectsParsed);
   Do({"temp_files_swept", "build.temp_files_swept", C}, St.TempFilesSwept);
   Do({"remote.hits", "build.remote_hits", C}, St.RemoteHits);

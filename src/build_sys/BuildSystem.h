@@ -168,8 +168,15 @@ struct BuildStats {
   uint64_t ScanCacheHits = 0;
 
   /// Object files deserialized from bytes this build (parsed-object
-  /// cache misses). A warm rebuild re-hashes bytes but re-parses none.
+  /// cache misses). A warm rebuild re-parses none.
   uint64_t ObjectsParsed = 0;
+
+  /// Source and object files whose bytes this build read. A stat-clean
+  /// file (build_sys/Manifest.h) is not read when a resident driver
+  /// already holds its scan result or parsed object, so a warm rebuild
+  /// reads what changed and the sources it recompiles.
+  uint64_t SourcesRead = 0;
+  uint64_t ObjectsRead = 0;
 
   /// Orphaned atomic-write temp files swept at build start (debris of
   /// a crashed previous build).

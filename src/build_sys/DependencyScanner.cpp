@@ -26,13 +26,23 @@ uint64_t sc::hashInterface(const ModuleInterface &Interface) {
 
 const ScanResult &DependencyScanner::scan(const std::string &Path,
                                           const std::string &Content) {
+  return scan(Path, Content, hashString(Content));
+}
+
+const ScanResult *DependencyScanner::lookup(uint64_t ContentHash) {
+  auto It = Cache.find(ContentHash);
+  if (It == Cache.end())
+    return nullptr;
+  ++Hits;
+  return &It->second;
+}
+
+const ScanResult &DependencyScanner::scan(const std::string &Path,
+                                          const std::string &Content,
+                                          uint64_t Key) {
   (void)Path;
-  uint64_t Key = hashString(Content);
-  auto It = Cache.find(Key);
-  if (It != Cache.end()) {
-    ++Hits;
-    return It->second;
-  }
+  if (const ScanResult *Hit = lookup(Key))
+    return *Hit;
   ++Misses;
 
   ScanResult R;

@@ -57,6 +57,16 @@ public:
   /// until clear().
   const ScanResult &scan(const std::string &Path, const std::string &Content);
 
+  /// scan() for bytes whose content hash the caller already knows (a
+  /// stat-clean source, build_sys/Manifest.h), so they are not hashed.
+  const ScanResult &scan(const std::string &Path, const std::string &Content,
+                         uint64_t ContentHash);
+
+  /// The cached result for \p ContentHash, counted as a cache hit, or
+  /// null (counting nothing) when it is not resident. Same reference
+  /// lifetime as scan().
+  const ScanResult *lookup(uint64_t ContentHash);
+
   uint64_t cacheHits() const { return Hits; }
   uint64_t cacheMisses() const { return Misses; }
 

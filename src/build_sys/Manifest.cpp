@@ -15,7 +15,23 @@ using namespace sc;
 namespace {
 
 constexpr uint32_t ManifestMagic = 0x53434d46; // "SCMF"
-constexpr uint32_t ManifestVersion = 1;
+constexpr uint32_t ManifestVersion = 2; // 2: per-entry file stats.
+
+void writeStat(BinaryWriter &W, const FileStat &St) {
+  W.writeU64(St.Size);
+  W.writeU64(static_cast<uint64_t>(St.MtimeNs));
+  W.writeU64(static_cast<uint64_t>(St.CtimeNs));
+  W.writeU64(St.Inode);
+}
+
+FileStat readStat(BinaryReader &R) {
+  FileStat St;
+  St.Size = R.readU64();
+  St.MtimeNs = static_cast<int64_t>(R.readU64());
+  St.CtimeNs = static_cast<int64_t>(R.readU64());
+  St.Inode = R.readU64();
+  return St;
+}
 
 } // namespace
 
@@ -29,9 +45,18 @@ void BuildManifest::update(const std::string &Path,
   Entries[Path] = Entry;
 }
 
+bool BuildManifest::statClean(const std::optional<FileStat> &Now,
+                              const FileStat &Recorded) const {
+  return Now && Written && Recorded != FileStat{} && *Now == Recorded &&
+         Now->MtimeNs < Written->MtimeNs;
+}
+
 void BuildManifest::remove(const std::string &Path) { Entries.erase(Path); }
 
-void BuildManifest::clear() { Entries.clear(); }
+void BuildManifest::clear() {
+  Entries.clear();
+  Written.reset();
+}
 
 std::string BuildManifest::serialize() const {
   BinaryWriter W;
@@ -44,6 +69,8 @@ std::string BuildManifest::serialize() const {
     W.writeU64(E.ImportsEffectiveHash);
     W.writeU64(E.ObjectHash);
     W.writeU64(E.ConfigHash);
+    writeStat(W, E.SourceStat);
+    writeStat(W, E.ObjectStat);
   }
   std::string Bytes(reinterpret_cast<const char *>(W.data().data()),
                     W.size());
@@ -63,7 +90,10 @@ bool BuildManifest::deserialize(const std::string &Bytes) {
   uint64_t Payload = Bytes.size() - 8;
   BinaryReader R(reinterpret_cast<const uint8_t *>(Bytes.data()),
                  Bytes.size());
-  if (R.readU32() != ManifestMagic || R.readU32() != ManifestVersion)
+  if (R.readU32() != ManifestMagic)
+    return false;
+  const uint32_t Version = R.readU32();
+  if (Version != 1 && Version != ManifestVersion)
     return false;
   uint64_t N = R.readVarU64();
   std::map<std::string, ManifestEntry> Loaded;
@@ -74,6 +104,10 @@ bool BuildManifest::deserialize(const std::string &Bytes) {
     E.ImportsEffectiveHash = R.readU64();
     E.ObjectHash = R.readU64();
     E.ConfigHash = R.readU64();
+    if (Version >= 2) {
+      E.SourceStat = readStat(R);
+      E.ObjectStat = readStat(R);
+    }
     Loaded.emplace(std::move(Path), E);
   }
   if (R.failed() || R.position() != Payload)
@@ -87,14 +121,19 @@ bool BuildManifest::deserialize(const std::string &Bytes) {
 }
 
 bool BuildManifest::saveToFile(VirtualFileSystem &FS,
-                               const std::string &Path) const {
-  return atomicWriteFile(FS, Path, serialize());
+                               const std::string &Path) {
+  if (!atomicWriteFile(FS, Path, serialize()))
+    return false;
+  Written = FS.stat(Path);
+  return true;
 }
 
 bool BuildManifest::loadFromFile(VirtualFileSystem &FS,
                                  const std::string &Path) {
+  std::optional<FileStat> St = FS.stat(Path);
   std::optional<std::string> Bytes = FS.readFile(Path);
-  if (!Bytes)
+  if (!Bytes || !deserialize(*Bytes))
     return false;
-  return deserialize(*Bytes);
+  Written = St;
+  return true;
 }

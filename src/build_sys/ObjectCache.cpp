@@ -73,14 +73,15 @@ bool ObjectCache::serializedBytes(const std::string &SourcePath,
 }
 
 const MModule *ObjectCache::load(const std::string &SourcePath,
-                                 uint64_t ExpectedHash) {
+                                 uint64_t ExpectedHash, bool StatClean) {
   {
     // Memory-only entries have no on-disk bytes to validate; trust the
-    // hash recorded at store time.
+    // hash recorded at store time. A stat-clean file needs no read when
+    // its module is resident.
     std::lock_guard<std::mutex> Lock(Mu);
     auto It = Mem.find(SourcePath);
-    if (It != Mem.end() && It->second.MemOnly &&
-        It->second.Hash == ExpectedHash)
+    if (It != Mem.end() && It->second.Hash == ExpectedHash &&
+        (It->second.MemOnly || StatClean))
       return &It->second.Object;
   }
   std::optional<std::string> Bytes = FS.readFile(objectPath(SourcePath));
@@ -89,16 +90,18 @@ const MModule *ObjectCache::load(const std::string &SourcePath,
     ++NotFoundLoads;
     return nullptr;
   }
-  if (hashString(*Bytes) != ExpectedHash) {
+  if (!StatClean && hashString(*Bytes) != ExpectedHash) {
     // Distinct from absence: the file exists but is not the object
     // the manifest recorded — vandalism, torn write, or a foreign
     // build. Callers recompile either way, but the stats (and the
     // remote tier) care which it was.
     std::lock_guard<std::mutex> Lock(Mu);
+    ++FileReads;
     ++CorruptLoads;
     return nullptr;
   }
   std::lock_guard<std::mutex> Lock(Mu);
+  ++FileReads;
   if (const MModule *Obj = residentLocked(SourcePath, ExpectedHash))
     return Obj;
   std::optional<MModule> Parsed = readObject(*Bytes);
@@ -134,6 +137,17 @@ bool ObjectCache::allStoresPersisted() const {
 void ObjectCache::resetStoreStatus() {
   std::lock_guard<std::mutex> Lock(Mu);
   StoresPersisted = true;
+}
+
+bool ObjectCache::onDisk(const std::string &SourcePath) const {
+  std::lock_guard<std::mutex> Lock(Mu);
+  auto It = Mem.find(SourcePath);
+  return It != Mem.end() && !It->second.MemOnly;
+}
+
+uint64_t ObjectCache::objectReads() const {
+  std::lock_guard<std::mutex> Lock(Mu);
+  return FileReads;
 }
 
 uint64_t ObjectCache::deserializations() const {

@@ -15,7 +15,10 @@
 /// (recorded in the build manifest). A missing, vandalized, or
 /// re-written object file fails the hash check and simply reports a
 /// miss — the build system then recompiles the TU. Stale or corrupt
-/// objects can therefore never reach the linker.
+/// objects can therefore never reach the linker. The one shortcut is a
+/// file the caller found stat-clean (build_sys/Manifest.h): unchanged
+/// since it was written or verified, so a resident module is returned
+/// without reading it, and otherwise its bytes are parsed unhashed.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -73,9 +76,14 @@ public:
   /// hash to \p ExpectedHash (deserializing at most once per distinct
   /// byte content); null on any mismatch, damage, or absence.
   /// Memory-only entries (failed/suppressed writes) are served from
-  /// memory when the hash matches. The pointer stays valid until the
-  /// entry is stored over, invalidated, or the cache is cleared.
-  const MModule *load(const std::string &SourcePath, uint64_t ExpectedHash);
+  /// memory when the hash matches. With \p StatClean the caller vouches
+  /// that the file is the one whose bytes hashed to \p ExpectedHash: a
+  /// resident entry with that hash is returned without a read, and
+  /// otherwise the file is read and parsed but not hashed. The pointer
+  /// stays valid until the entry is stored over, invalidated, or the
+  /// cache is cleared.
+  const MModule *load(const std::string &SourcePath, uint64_t ExpectedHash,
+                      bool StatClean = false);
 
   /// The parsed object held in memory for \p SourcePath iff its hash is
   /// \p ExpectedHash; null otherwise. Reads no file and hashes nothing,
@@ -97,6 +105,14 @@ public:
 
   /// Serialized size of the most recently stored/loaded object.
   uint64_t objectBytes(const std::string &SourcePath) const;
+
+  /// True when \p SourcePath's entry is backed by its object file: it
+  /// was written by store()/storeFetched() or read by load(), not kept
+  /// memory-only. Only then does the file's stat describe the entry.
+  bool onDisk(const std::string &SourcePath) const;
+
+  /// Object files whose bytes load() read since construction.
+  uint64_t objectReads() const;
 
   /// Total object deserializations performed by load() since
   /// construction — the parsed-object cache's miss counter. A warm
@@ -136,6 +152,7 @@ private:
   std::map<std::string, Cached> Mem;
   bool StoresPersisted = true;  // Guarded by Mu.
   uint64_t Deserializations = 0; // Guarded by Mu.
+  uint64_t FileReads = 0;        // Guarded by Mu.
   uint64_t NotFoundLoads = 0;    // Guarded by Mu.
   uint64_t CorruptLoads = 0;     // Guarded by Mu.
 };

@@ -79,9 +79,15 @@ bool sc::atomicWriteFile(VirtualFileSystem &FS, const std::string &Path,
 
 unsigned sc::sweepAtomicTemps(VirtualFileSystem &FS,
                               const std::string &DirPrefix) {
+  return sweepAtomicTemps(FS, DirPrefix, FS.listFiles());
+}
+
+unsigned sc::sweepAtomicTemps(VirtualFileSystem &FS,
+                              const std::string &DirPrefix,
+                              const std::vector<std::string> &Files) {
   const std::string Prefix = DirPrefix.empty() ? "" : DirPrefix + "/";
   unsigned Removed = 0;
-  for (const std::string &Path : FS.listFiles()) {
+  for (const std::string &Path : Files) {
     if (!Prefix.empty() && Path.compare(0, Prefix.size(), Prefix) != 0)
       continue;
     if (isAtomicTempPath(Path) && FS.removeFile(Path))

@@ -20,6 +20,7 @@
 #include "support/FileSystem.h"
 
 #include <string>
+#include <vector>
 
 namespace sc {
 
@@ -49,6 +50,11 @@ bool isAtomicTempPath(const std::string &Path);
 /// Returns the number of files removed.
 unsigned sweepAtomicTemps(VirtualFileSystem &FS,
                           const std::string &DirPrefix);
+
+/// The same sweep over \p Files, a listFiles() result the caller already
+/// holds, so a build lists its tree once.
+unsigned sweepAtomicTemps(VirtualFileSystem &FS, const std::string &DirPrefix,
+                          const std::vector<std::string> &Files);
 
 } // namespace sc
 

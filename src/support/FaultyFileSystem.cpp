@@ -100,6 +100,10 @@ bool FaultyFileSystem::exists(const std::string &Path) {
   return Base.exists(Path);
 }
 
+std::optional<FileStat> FaultyFileSystem::stat(const std::string &Path) {
+  return Base.stat(Path);
+}
+
 bool FaultyFileSystem::removeFile(const std::string &Path) {
   ++MutateCount;
   maybeCrash(MutateCount, "removeFile('" + Path + "')");

@@ -7,13 +7,14 @@
 #include "support/FileSystem.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 using namespace sc;
@@ -42,28 +43,56 @@ bool VirtualFileSystem::createExclusive(const std::string &Path,
   return writeFile(Path, Content);
 }
 
+std::optional<FileStat> VirtualFileSystem::stat(const std::string &) {
+  return std::nullopt;
+}
+
 std::string VirtualFileSystem::lastError() const { return std::string(); }
 
 //===----------------------------------------------------------------------===//
 // InMemoryFileSystem
 //===----------------------------------------------------------------------===//
 
+namespace {
+std::atomic<int64_t> MemClock{0};
+std::atomic<uint64_t> MemNextInode{1};
+
+int64_t nextTick() { return MemClock.fetch_add(1) + 1; }
+} // namespace
+
+void InMemoryFileSystem::write(const std::string &Path, std::string Content) {
+  auto [It, New] = Files.try_emplace(Path);
+  File &F = It->second;
+  if (New)
+    F.Stat.Inode = MemNextInode.fetch_add(1);
+  F.Content = std::move(Content);
+  F.Stat.Size = F.Content.size();
+  F.Stat.MtimeNs = F.Stat.CtimeNs = nextTick();
+}
+
 std::optional<std::string>
 InMemoryFileSystem::readFile(const std::string &Path) {
   auto It = Files.find(Path);
   if (It == Files.end())
     return std::nullopt;
-  return It->second;
+  return It->second.Content;
 }
 
 bool InMemoryFileSystem::writeFile(const std::string &Path,
                                    const std::string &Content) {
-  Files[Path] = Content;
+  write(Path, Content);
   return true;
 }
 
 bool InMemoryFileSystem::exists(const std::string &Path) {
   return Files.count(Path) != 0;
+}
+
+std::optional<FileStat> InMemoryFileSystem::stat(const std::string &Path) {
+  auto It = Files.find(Path);
+  if (It == Files.end())
+    return std::nullopt;
+  return It->second.Stat;
 }
 
 bool InMemoryFileSystem::removeFile(const std::string &Path) {
@@ -73,7 +102,7 @@ bool InMemoryFileSystem::removeFile(const std::string &Path) {
 std::vector<std::string> InMemoryFileSystem::listFiles() {
   std::vector<std::string> Paths;
   Paths.reserve(Files.size());
-  for (const auto &[Path, Content] : Files)
+  for (const auto &[Path, F] : Files)
     Paths.push_back(Path);
   return Paths;
 }
@@ -83,20 +112,25 @@ bool InMemoryFileSystem::renameFile(const std::string &From,
   auto It = Files.find(From);
   if (It == Files.end())
     return false;
-  Files[To] = std::move(It->second);
-  Files.erase(From);
+  File Moved = std::move(It->second);
+  Files.erase(It);
+  Moved.Stat.CtimeNs = nextTick(); // As on Linux: the inode changed.
+  Files[To] = std::move(Moved);
   return true;
 }
 
 bool InMemoryFileSystem::createExclusive(const std::string &Path,
                                          const std::string &Content) {
-  return Files.emplace(Path, Content).second;
+  if (Files.count(Path))
+    return false;
+  write(Path, Content);
+  return true;
 }
 
 uint64_t InMemoryFileSystem::totalBytes() const {
   uint64_t Sum = 0;
-  for (const auto &[Path, Content] : Files)
-    Sum += Content.size();
+  for (const auto &[Path, F] : Files)
+    Sum += F.Content.size();
   return Sum;
 }
 
@@ -114,12 +148,37 @@ std::string RealFileSystem::absolute(const std::string &Path) const {
 }
 
 std::optional<std::string> RealFileSystem::readFile(const std::string &Path) {
-  std::ifstream In(absolute(Path), std::ios::binary);
-  if (!In)
+  // Read into one string sized by fstat, plus a spare byte so the read
+  // that sees EOF needs no reallocation; the loop still copes with a
+  // file that grows or shrinks while it is read.
+  int FD = ::open(absolute(Path).c_str(), O_RDONLY | O_CLOEXEC);
+  if (FD < 0) {
+    LastErr = std::strerror(errno);
     return std::nullopt;
-  std::ostringstream SS;
-  SS << In.rdbuf();
-  return SS.str();
+  }
+  struct ::stat St;
+  std::string Out;
+  if (::fstat(FD, &St) == 0 && St.st_size > 0)
+    Out.resize(static_cast<size_t>(St.st_size) + 1);
+  size_t Len = 0;
+  while (true) {
+    if (Len == Out.size())
+      Out.resize(Out.size() + 4096);
+    ssize_t N = ::read(FD, Out.data() + Len, Out.size() - Len);
+    if (N < 0 && errno == EINTR)
+      continue;
+    if (N < 0) {
+      LastErr = std::strerror(errno);
+      ::close(FD);
+      return std::nullopt;
+    }
+    if (N == 0)
+      break;
+    Len += static_cast<size_t>(N);
+  }
+  ::close(FD);
+  Out.resize(Len);
+  return Out;
 }
 
 bool RealFileSystem::writeFile(const std::string &Path,
@@ -145,6 +204,17 @@ bool RealFileSystem::writeFile(const std::string &Path,
 bool RealFileSystem::exists(const std::string &Path) {
   std::error_code EC;
   return fs::exists(absolute(Path), EC);
+}
+
+std::optional<FileStat> RealFileSystem::stat(const std::string &Path) {
+  struct ::stat St;
+  if (::stat(absolute(Path).c_str(), &St) != 0)
+    return std::nullopt;
+  auto Ns = [](const timespec &T) {
+    return static_cast<int64_t>(T.tv_sec) * 1000000000 + T.tv_nsec;
+  };
+  return FileStat{static_cast<uint64_t>(St.st_size), Ns(St.st_mtim),
+                  Ns(St.st_ctim), static_cast<uint64_t>(St.st_ino)};
 }
 
 bool RealFileSystem::removeFile(const std::string &Path) {
@@ -212,13 +282,21 @@ bool RealFileSystem::createExclusive(const std::string &Path,
 std::string RealFileSystem::lastError() const { return LastErr; }
 
 std::vector<std::string> RealFileSystem::listFiles() {
+  // Entries are Root joined with their relative path, so stripping the
+  // prefix yields that path; fs::relative would canonicalize both paths
+  // (a chain of syscalls) per entry.
+  const std::string Prefix = fs::path(Root).string();
   std::vector<std::string> Paths;
   std::error_code EC;
   fs::recursive_directory_iterator It(Root, EC), End;
   for (; !EC && It != End; It.increment(EC)) {
     if (!It->is_regular_file(EC))
       continue;
-    Paths.push_back(fs::relative(It->path(), Root, EC).string());
+    const std::string &P = It->path().native();
+    size_t Skip = Prefix.size();
+    if (Skip < P.size() && P[Skip] == '/')
+      ++Skip;
+    Paths.push_back(P.substr(Skip));
   }
   std::sort(Paths.begin(), Paths.end());
   return Paths;

@@ -10,6 +10,12 @@
 /// measured build times reflect compilation work, not disk jitter; the
 /// on-disk implementation backs the examples and persistence tests.
 ///
+/// stat() lets the build system skip reading a file it has seen before:
+/// a file whose stat equals the one recorded when its bytes were last
+/// hashed, and whose mtime is older than the manifest write that
+/// recorded it, is taken as unchanged (docs/BUILD_SYSTEM.md, "Stat-clean
+/// files").
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef SC_SUPPORT_FILESYSTEM_H
@@ -22,6 +28,18 @@
 #include <vector>
 
 namespace sc {
+
+/// What stat(2) reports about a file: enough to tell, without reading
+/// it, that it is the file seen before. All zero means "no stat known",
+/// which never equals a real file's stat.
+struct FileStat {
+  uint64_t Size = 0;
+  int64_t MtimeNs = 0; ///< Last content change.
+  int64_t CtimeNs = 0; ///< Last content or inode change.
+  uint64_t Inode = 0;
+
+  bool operator==(const FileStat &) const = default;
+};
 
 /// Abstract file storage with string paths and whole-file granularity.
 class VirtualFileSystem {
@@ -36,6 +54,13 @@ public:
                          const std::string &Content) = 0;
 
   virtual bool exists(const std::string &Path) = 0;
+
+  /// The file's size, times and inode, or std::nullopt when it is
+  /// missing or the implementation cannot tell. The default returns
+  /// std::nullopt, which callers treat as "unknown: read and hash the
+  /// file", so a decorator that does not forward stat() only loses the
+  /// shortcut.
+  virtual std::optional<FileStat> stat(const std::string &Path);
 
   /// Removes a file if present; returns true if it was removed.
   virtual bool removeFile(const std::string &Path) = 0;
@@ -67,11 +92,17 @@ public:
 };
 
 /// Heap-backed filesystem; the default substrate for benchmarks/tests.
+/// Its stat() times come from a logical clock that every write, rename
+/// and exclusive create advances, so two writes never share a time; a
+/// rename carries the inode and mtime of the file it moves. The clock
+/// and the inode numbers are shared by all instances in the process,
+/// so a copy of a tree never stats like the original.
 class InMemoryFileSystem : public VirtualFileSystem {
 public:
   std::optional<std::string> readFile(const std::string &Path) override;
   bool writeFile(const std::string &Path, const std::string &Content) override;
   bool exists(const std::string &Path) override;
+  std::optional<FileStat> stat(const std::string &Path) override;
   bool removeFile(const std::string &Path) override;
   std::vector<std::string> listFiles() override;
   bool renameFile(const std::string &From, const std::string &To) override;
@@ -82,7 +113,16 @@ public:
   uint64_t totalBytes() const;
 
 private:
-  std::map<std::string, std::string> Files;
+  struct File {
+    std::string Content;
+    FileStat Stat;
+  };
+
+  /// Replaces \p Path's content and sets its times to a new clock tick;
+  /// a new path gets a fresh inode.
+  void write(const std::string &Path, std::string Content);
+
+  std::map<std::string, File> Files;
 };
 
 /// Filesystem rooted at a real directory; paths are relative to Root.
@@ -93,6 +133,7 @@ public:
   std::optional<std::string> readFile(const std::string &Path) override;
   bool writeFile(const std::string &Path, const std::string &Content) override;
   bool exists(const std::string &Path) override;
+  std::optional<FileStat> stat(const std::string &Path) override;
   bool removeFile(const std::string &Path) override;
   std::vector<std::string> listFiles() override;
   bool renameFile(const std::string &From, const std::string &To) override;

@@ -68,6 +68,10 @@ bool TracingFileSystem::exists(const std::string &P) {
   return Base.exists(P);
 }
 
+std::optional<FileStat> TracingFileSystem::stat(const std::string &P) {
+  return Base.stat(P);
+}
+
 bool TracingFileSystem::removeFile(const std::string &P) {
   return Base.removeFile(P);
 }

@@ -61,6 +61,7 @@ public:
   std::optional<std::string> readFile(const std::string &Path) override;
   bool writeFile(const std::string &Path, const std::string &Content) override;
   bool exists(const std::string &Path) override;
+  std::optional<FileStat> stat(const std::string &Path) override;
   bool removeFile(const std::string &Path) override;
   std::vector<std::string> listFiles() override;
   bool renameFile(const std::string &From, const std::string &To) override;

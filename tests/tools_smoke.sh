@@ -44,6 +44,27 @@ SUMMARY="$("$SCBUILD" .)"
 echo "$SUMMARY" | grep -q "0/2 files compiled" || {
   echo "FAIL: no-op rebuild recompiled something: $SUMMARY"; exit 1; }
 
+# Stat rules on a real filesystem (docs/BUILD_SYSTEM.md "Stat-clean
+# files"): a touched but unchanged source is re-read, found clean and
+# compiles nothing.
+touch util.mc
+SUMMARY="$("$SCBUILD" .)"
+echo "$SUMMARY" | grep -q "0/2 files compiled" || {
+  echo "FAIL: touching a source recompiled something: $SUMMARY"; exit 1; }
+
+# A same-size edit (same inode) right after a build is rebuilt, and the
+# program changes, even when it lands in the manifest's timestamp tick.
+"$SCBUILD" . --quiet
+printf 'fn triple(x: int) -> int { return x * 4; }\n' > util.mc
+SUMMARY="$("$SCBUILD" .)"
+echo "$SUMMARY" | grep -q "1/2 files compiled" || {
+  echo "FAIL: same-size edit was not rebuilt: $SUMMARY"; exit 1; }
+OUT="$("$SCBUILD" . --quiet --run)"
+[ "$OUT" = "56" ] || { echo "FAIL after same-size edit: got '$OUT'"; exit 1; }
+printf 'fn triple(x: int) -> int { return x * 3; }\n' > util.mc
+OUT="$("$SCBUILD" . --quiet --run)"
+[ "$OUT" = "42" ] || { echo "FAIL after restoring util.mc: got '$OUT'"; exit 1; }
+
 # Body edit: exactly one file recompiles and dormant passes skip.
 sed -i 's/x \* 3/x + x + x/' util.mc
 SUMMARY="$("$SCBUILD" .)"
