@@ -37,7 +37,6 @@
 #include <iterator>
 #include <optional>
 #include <set>
-#include <tuple>
 #include <utility>
 
 using namespace sc;
@@ -116,13 +115,30 @@ private:
   void publishContention();
 
   /// Appends this build's record to the history ledger
-  /// (build_sys/History.h). Runs on every exit path — success,
-  /// failure, and read-only degrade alike: history is observation
-  /// data, not build state, so a read-only build may still record
-  /// itself (worst case it loses a ledger race against the lock
-  /// owner's append; rename atomicity keeps the file well-formed).
+  /// (build_sys/History.h) on every exit path, success and failure
+  /// alike, but never from a read-only build: the ledger belongs to the
+  /// lock owner, and an unlocked rewrite could drop the owner's record.
   /// Any ledger failure costs one warning, never the build.
   void appendHistory(BuildStats &S, uint64_t BuildStartNs);
+
+  /// Atomically writes \p Bytes to \p Path, unless the file still holds
+  /// what this driver last wrote or loaded there: the same bytes (by
+  /// hash) and a stat unchanged since. False when a needed write failed.
+  bool persistFile(const std::string &Path, const std::string &Bytes);
+
+  /// Reads \p Path for a load, remembering its bytes' hash and the stat
+  /// taken before the read (also returned in \p StatOut) for
+  /// persistFile().
+  std::optional<std::string> loadPersisted(const std::string &Path,
+                                           std::optional<FileStat> *StatOut);
+
+  /// Each file persistFile() wrote or loadPersisted() read: its bytes'
+  /// hash and its stat right after the write or before the read.
+  std::map<std::string, std::pair<uint64_t, FileStat>> Persisted;
+
+  /// The ledger as this driver last wrote it (History.h); a no-op build
+  /// in a resident driver appends without re-checking old records.
+  HistoryTail LedgerTail;
 
   /// Objects compiled under a different optimization level or compiler
   /// version must not be trusted; this hash is recorded per manifest
@@ -244,21 +260,24 @@ uint64_t BuildDriverImpl::persist(BuildStats &S) {
   if (ReadOnlyBuild)
     return stateful() ? DB.sizeBytes() : 0;
   uint64_t StateBytes = 0;
-  if (!Manifest.saveToFile(FS, manifestPath()))
+  // A skipped manifest write leaves the file, and so the racy
+  // threshold, as this driver last wrote it.
+  if (persistFile(manifestPath(), Manifest.serialize()))
+    Manifest.markWritten(FS.stat(manifestPath()));
+  else
     warn(S, FS,
          "failed to persist '" + manifestPath() +
              "'; the next build recomputes its dirty set from scratch");
   if (stateful()) {
     std::string Bytes = DB.serialize();
     StateBytes = Bytes.size();
-    if (!atomicWriteFile(FS, statePath(), Bytes))
+    if (!persistFile(statePath(), Bytes))
       warn(S, FS,
            "failed to persist '" + statePath() +
                "'; the next build starts with cold compiler state");
   }
   if (Options.Compiler.RecordDecisions && stateful()) {
-    if (!atomicWriteFile(FS, decisionsPath(),
-                         serializeDecisions(PendingDecisions)))
+    if (!persistFile(decisionsPath(), serializeDecisions(PendingDecisions)))
       warn(S, FS,
            "failed to persist '" + decisionsPath() +
                "'; `scbuild --explain` will describe an older build");
@@ -268,6 +287,34 @@ uint64_t BuildDriverImpl::persist(BuildStats &S) {
          "one or more object files could not be written under '" +
              Options.OutDir + "'; affected TUs recompile next build");
   return StateBytes;
+}
+
+bool BuildDriverImpl::persistFile(const std::string &Path,
+                                  const std::string &Bytes) {
+  const uint64_t Hash = hashString(Bytes);
+  auto It = Persisted.find(Path);
+  if (It != Persisted.end() && It->second.first == Hash &&
+      FS.stat(Path) == It->second.second)
+    return true;
+  if (It != Persisted.end())
+    Persisted.erase(It);
+  if (!atomicWriteFile(FS, Path, Bytes))
+    return false;
+  if (std::optional<FileStat> St = FS.stat(Path))
+    Persisted[Path] = {Hash, *St};
+  return true;
+}
+
+std::optional<std::string>
+BuildDriverImpl::loadPersisted(const std::string &Path,
+                               std::optional<FileStat> *StatOut) {
+  const std::optional<FileStat> St = FS.stat(Path);
+  std::optional<std::string> Bytes = FS.readFile(Path);
+  if (Bytes && St)
+    Persisted[Path] = {hashString(*Bytes), *St};
+  if (StatOut)
+    *StatOut = St;
+  return Bytes;
 }
 
 RemoteCacheClient *BuildDriverImpl::remote(BuildStats &S) {
@@ -294,8 +341,7 @@ RemoteCacheClient *BuildDriverImpl::remote(BuildStats &S) {
 void BuildDriverImpl::degradeRemote(BuildStats &S, const std::string &Why) {
   if (RemoteDisabled)
     return;
-  RemoteDisabled = true;
-  Remote.reset();
+  RemoteDisabled = true; // The latched client stays for its counters.
   ++S.RemoteErrors;
   S.Warnings.push_back("remote cache '" + Options.RemoteCache +
                        "' is unavailable (" + Why +
@@ -345,7 +391,7 @@ void BuildDriverImpl::publishContention() {
 }
 
 void BuildDriverImpl::appendHistory(BuildStats &S, uint64_t BuildStartNs) {
-  if (Options.HistoryLimit == 0)
+  if (Options.HistoryLimit == 0 || ReadOnlyBuild)
     return;
   const uint64_t UnixMs = static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -356,7 +402,8 @@ void BuildDriverImpl::appendHistory(BuildStats &S, uint64_t BuildStartNs) {
     Events = trace()->snapshot();
   HistoryRecord R = makeHistoryRecord(S, Options.Compiler.Metrics, Events,
                                       BuildStartNs, UnixMs);
-  if (BuildHistory::append(FS, historyPath(), R, Options.HistoryLimit))
+  if (BuildHistory::append(FS, historyPath(), R, Options.HistoryLimit,
+                           nullptr, &LedgerTail))
     S.BuildId = R.BuildId;
   else
     warn(S, FS,
@@ -451,6 +498,8 @@ BuildStats BuildDriverImpl::build() {
   const uint64_t ScanMisses0 = Scanner.cacheMisses();
   const uint64_t Parses0 = Objects.deserializations();
   const uint64_t ObjectReads0 = Objects.objectReads();
+  auto RoundTrips = [&] { return Remote ? Remote->roundTrips() : 0; };
+  const uint64_t RoundTrips0 = RoundTrips();
 
   runPhases(S);
   S.TotalUs = static_cast<double>(BuildSpan.elapsedNs()) / 1000.0;
@@ -464,6 +513,7 @@ BuildStats BuildDriverImpl::build() {
   S.InterfaceScans = Scanner.cacheMisses() - ScanMisses0;
   S.ObjectsParsed = Objects.deserializations() - Parses0;
   S.ObjectsRead = Objects.objectReads() - ObjectReads0;
+  S.RemoteRoundTrips = RoundTrips() - RoundTrips0;
   if (Profiler)
     Profiler->stop(); // Folds sample aggregates into the trace.
   if (tracing()) {
@@ -490,7 +540,8 @@ void BuildDriverImpl::runPhases(BuildStats &S) {
       // only the corrupt TUs go cold.
       StateLoadReport Rep;
       bool Existed = FS.exists(statePath());
-      bool Loaded = DB.loadFromFile(FS, statePath(), &Rep);
+      std::optional<std::string> Bytes = loadPersisted(statePath(), nullptr);
+      bool Loaded = Bytes && DB.deserialize(*Bytes, &Rep);
       if (Existed && !Loaded)
         warn(S, FS,
              "state '" + statePath() +
@@ -512,7 +563,12 @@ void BuildDriverImpl::runPhases(BuildStats &S) {
       }
     }
     bool ManifestExisted = FS.exists(manifestPath());
-    if (!Manifest.loadFromFile(FS, manifestPath())) {
+    std::optional<FileStat> ManifestStat;
+    std::optional<std::string> Bytes =
+        loadPersisted(manifestPath(), &ManifestStat);
+    if (Bytes && Manifest.deserialize(*Bytes)) {
+      Manifest.markWritten(ManifestStat);
+    } else {
       Manifest.clear();
       if (ManifestExisted)
         warn(S, FS,
@@ -617,8 +673,10 @@ void BuildDriverImpl::runPhases(BuildStats &S) {
   const uint64_t Config = configHash();
   std::vector<std::string> Dirty;
   /// Locally-clean TUs, remembered so the remote-sync pass can keep
-  /// the fleet cache warm: (path, input key, object digest).
-  std::vector<std::tuple<std::string, uint64_t, uint64_t>> CleanTUs;
+  /// the fleet cache warm: their paths, input keys and object digests.
+  std::vector<std::string> CleanPaths;
+  std::vector<uint64_t> CleanKeys, CleanDigests;
+  std::vector<uint64_t> DirtyKeys; // Input key of each Dirty TU.
   for (const std::string &Path : Graph.topologicalOrder()) {
     if (Unbuildable.count(Path))
       continue;
@@ -645,46 +703,51 @@ void BuildDriverImpl::runPhases(BuildStats &S) {
         Seen.ObjectStat =
             Objects.onDisk(Path) ? ObjStat.value_or(FileStat{}) : FileStat{};
         Manifest.update(Path, Seen);
-        CleanTUs.emplace_back(
-            Path, inputKey(SR->ContentHash, ImportsEff, Config), Seen.ObjectHash);
+        CleanPaths.push_back(Path);
+        CleanKeys.push_back(inputKey(SR->ContentHash, ImportsEff, Config));
+        CleanDigests.push_back(Seen.ObjectHash);
         continue;
-      }
-    }
-    // Local miss: before scheduling a compile, ask the remote tier.
-    // A verified remote hit is admitted into the local object cache
-    // and recorded in the manifest exactly as a compile would have —
-    // the TU then links from the fetched object and skips the
-    // compiler entirely.
-    if (RemoteCacheClient *RC = remote(S)) {
-      const uint64_t Key = inputKey(SR->ContentHash, ImportsEff, Config);
-      TraceSpan Fetch(trace(), "remote", "fetch");
-      uint64_t Digest = 0;
-      std::string Bytes;
-      RemoteCacheClient::Result R = RC->fetch(Key, Digest, Bytes);
-      if (R == RemoteCacheClient::Result::Hit &&
-          Objects.storeFetched(Path, std::move(Bytes), Digest)) {
-        ++S.RemoteHits;
-        ManifestEntry NE;
-        NE.ContentHash = SR->ContentHash;
-        NE.ImportsEffectiveHash = ImportsEff;
-        NE.ObjectHash = Digest;
-        NE.ConfigHash = Config;
-        Manifest.update(Path, NE);
-        if (tracing())
-          Fetch.args("{\"path\":\"" + Path + "\",\"hit\":true}");
-        continue;
-      }
-      if (R == RemoteCacheClient::Result::Error) {
-        degradeRemote(S, "request failed mid-build");
-      } else {
-        // Miss — or a fetched object that failed to decode, which the
-        // client's verification makes equivalent to one.
-        ++S.RemoteMisses;
-        if (tracing())
-          Fetch.args("{\"path\":\"" + Path + "\",\"hit\":false}");
       }
     }
     Dirty.push_back(Path);
+    DirtyKeys.push_back(inputKey(SR->ContentHash, ImportsEff, Config));
+  }
+
+  // Local misses: before scheduling compiles, ask the remote tier for
+  // all of them in one batch. A verified remote hit is admitted into
+  // the local object cache and recorded in the manifest exactly as a
+  // compile would have — the TU then links from the fetched object and
+  // skips the compiler entirely. A miss, or a fetched object that
+  // failed to verify or decode, stays dirty.
+  if (RemoteCacheClient *RC = Dirty.empty() ? nullptr : remote(S)) {
+    TraceSpan Fetch(trace(), "remote", "fetch");
+    std::vector<RemoteCacheClient::Fetched> Got;
+    if (RC->fetchBatch(DirtyKeys, Got) == RemoteCacheClient::Result::Error) {
+      degradeRemote(S, "request failed mid-build");
+    } else {
+      std::vector<std::string> Missed;
+      for (size_t I = 0; I != Dirty.size(); ++I) {
+        const std::string &Path = Dirty[I];
+        RemoteCacheClient::Fetched &F = Got[I];
+        if (!F.Hit ||
+            !Objects.storeFetched(Path, std::move(F.Bytes), F.Digest)) {
+          ++S.RemoteMisses;
+          Missed.push_back(Path);
+          continue;
+        }
+        ++S.RemoteHits;
+        ManifestEntry NE;
+        NE.ContentHash = Scans.at(Path)->ContentHash;
+        NE.ImportsEffectiveHash = Graph.importsEffectiveHash(Path);
+        NE.ObjectHash = F.Digest;
+        NE.ConfigHash = Config;
+        Manifest.update(Path, NE);
+      }
+      Dirty = std::move(Missed);
+    }
+    if (tracing())
+      Fetch.args("{\"tus\":" + std::to_string(DirtyKeys.size()) +
+                 ",\"hits\":" + std::to_string(S.RemoteHits) + "}");
   }
   S.DirtyTUs = Dirty;
   if (tracing())
@@ -737,7 +800,6 @@ void BuildDriverImpl::runPhases(BuildStats &S) {
   // failures from above included) so the error text is deterministic
   // at any -j.
   struct PendingPublish {
-    std::string Path;
     uint64_t Key;
     uint64_t Digest;
     std::string Bytes;
@@ -770,8 +832,7 @@ void BuildDriverImpl::runPhases(BuildStats &S) {
     Manifest.update(Jobs[I].Path, E);
     if (WantPublish)
       ToPublish.push_back(
-          {Jobs[I].Path,
-           inputKey(E.ContentHash, E.ImportsEffectiveHash, Config),
+          {inputKey(E.ContentHash, E.ImportsEffectiveHash, Config),
            E.ObjectHash, std::move(PubBytes)});
   }
   std::sort(Failures.begin(), Failures.end());
@@ -784,50 +845,46 @@ void BuildDriverImpl::runPhases(BuildStats &S) {
   // Runs even when some TUs failed — the successful objects are valid
   // and worth sharing, mirroring how persist() keeps completed work.
   // Two duties: publish what this build compiled, and touch-or-publish
-  // the locally-clean TUs so an already-warm builder still populates a
-  // cold fleet cache (without recompiling anything). Any failure
-  // degrades the tier and abandons the rest of the sync.
+  // the locally-clean TUs, all in one batch, so an already-warm builder
+  // still populates a cold fleet cache (without recompiling anything).
+  // Any failure degrades the tier and abandons the rest of the sync.
   if (remote(S)) {
     TraceSpan Sync(trace(), "remote", "sync");
-    uint64_t Touched = 0;
-    for (PendingPublish &P : ToPublish) {
+    // Publishes one object; false once the tier has degraded.
+    auto Publish = [&](uint64_t Key, uint64_t Digest, const std::string &B) {
       RemoteCacheClient *RC = remote(S);
       if (!RC)
-        break;
-      if (RC->publish(P.Key, P.Digest, P.Bytes) ==
-          RemoteCacheClient::Result::Error) {
+        return false;
+      if (RC->publish(Key, Digest, B) == RemoteCacheClient::Result::Error) {
         degradeRemote(S, "publish failed mid-build");
-        break;
+        return false;
       }
       ++S.RemotePuts;
+      return true;
+    };
+    for (PendingPublish &P : ToPublish)
+      if (!Publish(P.Key, P.Digest, P.Bytes))
+        break;
+    std::vector<RemoteCacheClient::Fetched> Present;
+    RemoteCacheClient *RC = CleanKeys.empty() ? nullptr : remote(S);
+    if (RC && RC->touchBatch(CleanKeys, CleanDigests, Present) ==
+                  RemoteCacheClient::Result::Error) {
+      degradeRemote(S, "touch failed mid-build");
+      Present.clear();
     }
-    for (auto &[Path, Key, Digest] : CleanTUs) {
-      RemoteCacheClient *RC = remote(S);
-      if (!RC)
+    for (size_t I = 0; I != Present.size(); ++I) {
+      // The remote lacks (part of) this TU; publish from the local
+      // object file or in-memory copy — no recompile needed. A TU whose
+      // local copy is unavailable leaves the remote cold.
+      std::string Bytes;
+      if (!Present[I].Hit &&
+          Objects.serializedBytes(CleanPaths[I], CleanDigests[I], Bytes) &&
+          !Publish(CleanKeys[I], CleanDigests[I], Bytes))
         break;
-      RemoteCacheClient::Result R = RC->touchEntry(Key, Digest);
-      if (R == RemoteCacheClient::Result::Error) {
-        degradeRemote(S, "touch failed mid-build");
-        break;
-      }
-      ++Touched;
-      if (R == RemoteCacheClient::Result::Miss) {
-        // The remote lacks (part of) this TU; publish from the local
-        // object file or in-memory copy — no recompile needed.
-        std::string Bytes;
-        if (!Objects.serializedBytes(Path, Digest, Bytes))
-          continue; // Local copy unavailable; the remote stays cold.
-        if (RC->publish(Key, Digest, Bytes) ==
-            RemoteCacheClient::Result::Error) {
-          degradeRemote(S, "publish failed mid-build");
-          break;
-        }
-        ++S.RemotePuts;
-      }
     }
     if (tracing())
       Sync.args("{\"published\":" + std::to_string(S.RemotePuts) +
-                ",\"touched\":" + std::to_string(Touched) + "}");
+                ",\"touched\":" + std::to_string(Present.size()) + "}");
   }
 
   if (!Errors.empty()) {

@@ -90,6 +90,8 @@ template <class S, class Fn> void forEachBuildFact(S &St, Fn Do) {
   Do({"remote.misses", "build.remote_misses", C}, St.RemoteMisses);
   Do({"remote.puts", "build.remote_puts", C}, St.RemotePuts);
   Do({"remote.errors", "build.remote_errors", C}, St.RemoteErrors);
+  Do({"remote.round_trips", "build.remote_round_trips", C},
+     St.RemoteRoundTrips);
   Do({"deps.tus_checked", "build.deps_tus_checked", C}, St.DepsTUsChecked);
   Do({"deps.missing", "build.deps_missing", C}, St.DepsMissing);
   Do({"deps.redundant", "build.deps_redundant", C}, St.DepsRedundant);

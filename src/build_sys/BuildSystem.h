@@ -106,7 +106,8 @@ struct BuildOptions {
   /// Tiering per TU: local miss -> remote fetch (verify, admit
   /// locally, skip the recompile) -> on remote miss compile and
   /// publish; local hits are touched remotely (published when absent)
-  /// so a warm builder keeps the fleet cache populated. Any remote
+  /// so a warm builder keeps the fleet cache populated. Fetches and
+  /// touches each go out as one batch per build. Any remote
   /// failure — dead daemon, protocol error — degrades the build to
   /// local-only with a single warning; it never fails the build.
   std::string RemoteCache;
@@ -200,6 +201,11 @@ struct BuildStats {
   /// tier for this driver's lifetime (local-only, one warning), so in
   /// practice this is 0 or 1 per build.
   uint64_t RemoteErrors = 0;
+
+  /// Request/response exchanges with sccached this build: one per batch
+  /// of up to CacheMaxBatch fetches or touches, and one per publish. A
+  /// warm build that compiles nothing makes one.
+  uint64_t RemoteRoundTrips = 0;
 
   //===--- Dependency verifier (BuildOptions::VerifyDeps) -----------------===//
 

@@ -363,45 +363,65 @@ HistoryLoadResult BuildHistory::load(VirtualFileSystem &FS,
 
 bool BuildHistory::append(VirtualFileSystem &FS, const std::string &Path,
                           HistoryRecord &R, unsigned Limit,
-                          uint64_t *SkippedOut) {
-  // Old records are kept byte for byte: a line needs only its checksum
-  // and schema tag to survive. Only the newest one is parsed, for the
-  // id to continue from; if it parses badly it is dropped like any
-  // other damaged line and the next newest is tried.
-  std::vector<std::string> Lines;
-  uint64_t Skipped = 0;
-  forEachLedgerLine(FS, Path, [&](std::string Line) {
-    if (checksummedBody(Line) &&
-        Line.compare(0, SchemaTag.size(), SchemaTag) == 0)
-      Lines.push_back(std::move(Line));
-    else
+                          uint64_t *SkippedOut, HistoryTail *Tail) {
+  // The surviving lines, each ending in '\n', their count and the
+  // newest id.
+  std::string Kept;
+  size_t Count = 0;
+  uint64_t LastId = 0, Skipped = 0;
+  std::optional<std::string> Content;
+  if (Tail && Tail->Stat && FS.stat(Path) == Tail->Stat &&
+      (Content = FS.readFile(Path)) && Content->size() == Tail->Stat->Size) {
+    // The ledger this writer last wrote, untouched since: every line is
+    // one it wrote, so none needs a check or a parse.
+    Kept = std::move(*Content);
+    Count = Tail->Lines;
+    LastId = Tail->LastId;
+  } else {
+    // Old records are kept byte for byte: a line needs only its
+    // checksum and schema tag to survive. Only the newest one is
+    // parsed, for the id to continue from; if it parses badly it is
+    // dropped like any other damaged line and the next newest is tried.
+    std::vector<std::string> Lines;
+    forEachLedgerLine(FS, Path, [&](std::string Line) {
+      if (checksummedBody(Line) &&
+          Line.compare(0, SchemaTag.size(), SchemaTag) == 0)
+        Lines.push_back(std::move(Line));
+      else
+        ++Skipped;
+    });
+    while (!Lines.empty()) {
+      HistoryRecord Newest;
+      if (parseRecord(Lines.back(), Newest)) {
+        LastId = Newest.BuildId;
+        break;
+      }
+      Lines.pop_back();
       ++Skipped;
-  });
-  uint64_t LastId = 0;
-  while (!Lines.empty()) {
-    HistoryRecord Newest;
-    if (parseRecord(Lines.back(), Newest)) {
-      LastId = Newest.BuildId;
-      break;
     }
-    Lines.pop_back();
-    ++Skipped;
+    for (const std::string &Line : Lines)
+      Kept.append(Line).push_back('\n');
+    Count = Lines.size();
   }
   R.HistoryRecordsSkipped = Skipped;
   if (SkippedOut)
     *SkippedOut = Skipped;
   if (R.BuildId == 0)
     R.BuildId = LastId + 1;
-  Lines.push_back(serializeRecord(R));
+  Kept.append(serializeRecord(R)).push_back('\n');
   // --history-limit: drop the oldest records in the same rewrite.
-  const size_t Keep = Limit ? Limit : 1;
-  const size_t First = Lines.size() > Keep ? Lines.size() - Keep : 0;
-  std::string Content;
-  for (size_t I = First; I != Lines.size(); ++I) {
-    Content += Lines[I];
-    Content += '\n';
+  size_t Cut = 0;
+  for (++Count; Count > std::max(Limit, 1u); --Count)
+    Cut = Kept.find('\n', Cut) + 1;
+  Kept.erase(0, Cut);
+  if (!atomicWriteFile(FS, Path, Kept)) {
+    if (Tail)
+      Tail->Stat.reset();
+    return false;
   }
-  return atomicWriteFile(FS, Path, Content);
+  if (Tail)
+    *Tail = {FS.stat(Path), R.BuildId, Count};
+  return true;
 }
 
 //===----------------------------------------------------------------------===//

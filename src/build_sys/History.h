@@ -6,8 +6,8 @@
 ///
 /// \file
 /// The build-history ledger: an append-only `<OutDir>/history.jsonl`
-/// holding one checksummed JSON record per build exit — success,
-/// failure, and read-only degrade alike — so "are rebuilds getting
+/// holding one checksummed JSON record per exit of a build that holds
+/// the build lock — success and failure alike — so "are rebuilds getting
 /// slower?" and "why was THIS build slow?" survive the process that
 /// could have answered them. `scbuild analyze` (build_sys/Analyze.h)
 /// consumes the ledger; docs/OBSERVABILITY.md documents the record
@@ -21,7 +21,8 @@
 /// checksum (`"crc"`); loading and appending skip and count lines that
 /// are torn, truncated, or fail their checksum, so a writer that died
 /// mid-rename can never poison earlier records. An append keeps the
-/// surviving lines byte for byte and parses only the newest one.
+/// surviving lines byte for byte and parses only the newest one; given
+/// a HistoryTail that still matches the file's stat, it parses none.
 /// Ledger I/O is observation, not build state: any failure costs one
 /// warning and a counter, never the build.
 ///
@@ -37,6 +38,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -94,6 +96,15 @@ struct HistoryLoadResult {
   uint64_t Skipped = 0;
 };
 
+/// What a writer remembers of the ledger it last wrote — three values,
+/// no ledger bytes: the file's stat right after that write, the id of
+/// its newest record and its line count.
+struct HistoryTail {
+  std::optional<FileStat> Stat; ///< Unset: trust nothing.
+  uint64_t LastId = 0;
+  size_t Lines = 0;
+};
+
 /// Static codec + ledger I/O. All functions are pure over their VFS.
 class BuildHistory {
 public:
@@ -119,9 +130,17 @@ public:
   /// damaged lines dropped lands in R.HistoryRecordsSkipped before \p R
   /// is written, and in \p SkippedOut (optional). Returns false when
   /// the rewrite itself failed.
+  ///
+  /// With a \p Tail whose stat still equals the file's, the ledger is
+  /// the one this writer last wrote: its lines are kept unchecked and
+  /// the id and count come from the tail. Any other ledger (no tail, an
+  /// unset one, a file changed behind the writer's back) takes the
+  /// checking path. A successful append refills \p Tail; a failed one
+  /// unsets it.
   static bool append(VirtualFileSystem &FS, const std::string &Path,
                      HistoryRecord &R, unsigned Limit,
-                     uint64_t *SkippedOut = nullptr);
+                     uint64_t *SkippedOut = nullptr,
+                     HistoryTail *Tail = nullptr);
 };
 
 /// Assembles a record from one finished build: the stats, a metrics

@@ -6,7 +6,6 @@
 
 #include "build_sys/Manifest.h"
 
-#include "support/AtomicFile.h"
 #include "support/Hashing.h"
 #include "support/Serializer.h"
 
@@ -117,14 +116,6 @@ bool BuildManifest::deserialize(const std::string &Bytes) {
       hashBytes(Bytes.data(), Payload) != Expected)
     return false;
   Entries = std::move(Loaded);
-  return true;
-}
-
-bool BuildManifest::saveToFile(VirtualFileSystem &FS,
-                               const std::string &Path) {
-  if (!atomicWriteFile(FS, Path, serialize()))
-    return false;
-  Written = FS.stat(Path);
   return true;
 }
 

@@ -81,10 +81,11 @@ public:
   /// manifest unchanged) on malformed input.
   bool deserialize(const std::string &Bytes);
 
-  /// Crash-safe: stages through atomicWriteFile. On success the saved
-  /// file's mtime becomes the racy threshold of statClean(); on failure
-  /// the previous threshold stays, which only makes statClean() stricter.
-  bool saveToFile(VirtualFileSystem &FS, const std::string &Path);
+  /// Records \p St, the stat of the manifest file just saved (or taken
+  /// before the read that loaded it), as the racy threshold of
+  /// statClean(). After a failed save the caller keeps the previous
+  /// threshold, which only makes statClean() stricter.
+  void markWritten(std::optional<FileStat> St) { Written = St; }
 
   /// Loads \p Path; its mtime, taken before the read, becomes the
   /// racy threshold.

@@ -83,10 +83,10 @@ bool CacheDaemon::serveRequest(UnixSocket &Conn, const std::string &Header) {
     return false; // Out of protocol sync; nothing sane can follow.
   }
 
-  // A put-obj header is always followed by one binary frame; consume
-  // it before validating anything else or the stream desyncs.
+  // A put header is always followed by one binary frame; consume it
+  // before validating anything else or the stream desyncs.
   std::string PutBytes;
-  if (Req.Operation == CacheRequest::Op::Put && Req.Kind == "obj") {
+  if (Req.Operation == CacheRequest::Op::Put) {
     if (!Conn.recvFrame(PutBytes, IoTimeoutMs))
       return false;
     if (PutBytes.size() != Req.Size) {
@@ -97,48 +97,19 @@ bool CacheDaemon::serveRequest(UnixSocket &Conn, const std::string &Header) {
   }
 
   uint64_t Key = 0, Digest = 0;
-  const bool NeedsKey = Req.Operation == CacheRequest::Op::Get ||
-                        Req.Operation == CacheRequest::Op::Put ||
-                        Req.Operation == CacheRequest::Op::Touch;
-  if (NeedsKey &&
-      (!parseHex16(Req.Key, Key) ||
-       (Req.Kind != "obj" && Req.Kind != "act"))) {
-    Resp.Error = "bad key or kind";
-    return send(Conn, encodeCacheResponse(Resp)); // Still in sync.
-  }
-  const CacheStore::Kind Kind = Req.Kind == "obj"
-                                    ? CacheStore::Kind::Object
-                                    : CacheStore::Kind::Action;
-
-  std::string ObjBytes;
   switch (Req.Operation) {
   case CacheRequest::Op::Get:
-    Resp.Ok = true;
-    if (Kind == CacheStore::Kind::Object) {
-      Resp.Found = Store->getObject(Key, ObjBytes);
-      Resp.Size = ObjBytes.size();
-    } else {
-      Resp.Found = Store->getAction(Key, Digest);
-      if (Resp.Found)
-        Resp.Digest = hex16(Digest);
-    }
-    break;
-  case CacheRequest::Op::Put:
-    Resp.Ok = true;
-    if (Kind == CacheStore::Kind::Object) {
-      Resp.Stored = Store->putObject(Key, PutBytes);
-    } else {
-      if (!parseHex16(Req.Digest, Digest)) {
-        Resp.Ok = false;
-        Resp.Error = "bad digest";
-      } else {
-        Resp.Stored = Store->putAction(Key, Digest);
-      }
-    }
-    break;
   case CacheRequest::Op::Touch:
-    Resp.Ok = true;
-    Resp.Found = Store->touch(Kind, Key);
+    return serveLookup(Conn, Req);
+  case CacheRequest::Op::Put:
+    // The action is stored only once its object verified.
+    Resp.Ok = Req.Kind == "entry" && parseHex16(Req.Key, Key) &&
+              parseHex16(Req.Digest, Digest);
+    if (!Resp.Ok)
+      Resp.Error = "bad key, kind or digest"; // Still in sync.
+    else
+      Resp.Stored = Store->putObject(Digest, PutBytes) &&
+                    Store->putAction(Key, Digest);
     break;
   case CacheRequest::Op::Stats:
     Resp.Ok = true;
@@ -159,13 +130,49 @@ bool CacheDaemon::serveRequest(UnixSocket &Conn, const std::string &Header) {
     requestStop();
     return false;
   }
+  return send(Conn, encodeCacheResponse(Resp));
+}
 
+bool CacheDaemon::serveLookup(UnixSocket &Conn, const CacheRequest &Req) {
+  const bool Get = Req.Operation == CacheRequest::Op::Get;
+  const bool Entry = Req.Kind == "entry";
+  std::vector<uint64_t> Keys, Digests;
+  CacheResponse Resp;
+  if (!parseHex16List(Req.Key, Keys) || Keys.size() > CacheMaxBatch ||
+      (!Entry && Req.Kind != "obj") ||
+      (Entry && !Get &&
+       (!parseHex16List(Req.Digest, Digests) ||
+        Digests.size() != Keys.size()))) {
+    Resp.Error = "bad key or kind";
+    return send(Conn, encodeCacheResponse(Resp)); // Still in sync.
+  }
+  std::vector<std::string> Objects;
+  for (size_t I = 0; I != Keys.size(); ++I) {
+    uint64_t Digest = Digests.empty() ? Keys[I] : Digests[I];
+    std::string Bytes;
+    bool Found;
+    if (Get) {
+      Found = (!Entry || Store->getAction(Keys[I], Digest)) &&
+              Store->getObject(Digest, Bytes);
+    } else {
+      Found = !Entry || Store->touch(CacheStore::Kind::Action, Keys[I]);
+      Found = Store->touch(CacheStore::Kind::Object, Digest) && Found;
+    }
+    Resp.Mask += Found ? '1' : '0';
+    if (Found && Get) {
+      Objects.push_back(std::move(Bytes));
+      if (Entry)
+        Resp.Digest += hex16(Digest);
+    }
+  }
+  Resp.Ok = true;
+  Resp.Found = Resp.Mask.find('0') == std::string::npos;
   if (!send(Conn, encodeCacheResponse(Resp)))
     return false;
-  // A found object's bytes follow its header as one binary frame.
-  if (Req.Operation == CacheRequest::Op::Get &&
-      Kind == CacheStore::Kind::Object && Resp.Found)
-    return send(Conn, ObjBytes);
+  // Each found object's bytes follow the header, one frame each.
+  for (const std::string &Bytes : Objects)
+    if (!send(Conn, Bytes))
+      return false;
   return true;
 }
 

@@ -8,10 +8,9 @@
 /// The server side of `sccached`: a Service answering the CacheProtocol
 /// get/put/touch/stats/metrics/shutdown verbs over a CacheStore.
 /// Unlike the build daemon, this is a plain concurrent key-value
-/// service: connections are persistent (a build issues hundreds of
-/// requests over one connection), and the store's internal lock is the
-/// only serialization point. A connection parked between requests does
-/// not hold the idle clock. The accept loop, connection cap, I/O
+/// service: connections are persistent (one per build), and the store's
+/// internal lock is the only serialization point. A connection parked
+/// between requests does not hold the idle clock. The accept loop, connection cap, I/O
 /// deadlines and drain are support/Service's (docs/BUILD_SYSTEM.md).
 ///
 //===----------------------------------------------------------------------===//
@@ -67,6 +66,8 @@ private:
   void serveConnection(UnixSocket &Conn) override;
   /// Answers one request; false when the connection must close.
   bool serveRequest(UnixSocket &Conn, const std::string &Header);
+  /// Answers one batched get or touch (CacheProtocol.h).
+  bool serveLookup(UnixSocket &Conn, const CacheRequest &Req);
   /// Mirrors the store's lifetime totals into the registry as cache.*
   /// counters/gauges (delta-published so counters stay monotonic).
   void publishMetrics();

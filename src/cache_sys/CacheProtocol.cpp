@@ -8,6 +8,10 @@
 
 #include "support/FlatJson.h"
 
+#include <algorithm>
+#include <iterator>
+#include <type_traits>
+
 using namespace sc;
 
 std::string sc::hex16(uint64_t V) {
@@ -39,47 +43,23 @@ bool sc::parseHex16(const std::string &S, uint64_t &V) {
   return true;
 }
 
-namespace {
-
-const char *opName(CacheRequest::Op Op) {
-  switch (Op) {
-  case CacheRequest::Op::Get:      return "get";
-  case CacheRequest::Op::Put:      return "put";
-  case CacheRequest::Op::Touch:    return "touch";
-  case CacheRequest::Op::Stats:    return "stats";
-  case CacheRequest::Op::Metrics:  return "metrics";
-  case CacheRequest::Op::Shutdown: return "shutdown";
-  }
-  return "stats";
-}
-
-bool opFromName(const std::string &Name, CacheRequest::Op &Op) {
-  if (Name == "get")
-    Op = CacheRequest::Op::Get;
-  else if (Name == "put")
-    Op = CacheRequest::Op::Put;
-  else if (Name == "touch")
-    Op = CacheRequest::Op::Touch;
-  else if (Name == "stats")
-    Op = CacheRequest::Op::Stats;
-  else if (Name == "metrics")
-    Op = CacheRequest::Op::Metrics;
-  else if (Name == "shutdown")
-    Op = CacheRequest::Op::Shutdown;
-  else
+bool sc::parseHex16List(const std::string &S, std::vector<uint64_t> &Out) {
+  Out.clear();
+  if (S.empty() || S.size() % 16)
     return false;
+  for (size_t I = 0; I != S.size(); I += 16)
+    if (!parseHex16(S.substr(I, 16), Out.emplace_back()))
+      return false;
   return true;
 }
 
-void appendU64Field(std::string &Out, const char *Key, uint64_t V) {
-  Out += ",\"";
-  Out += Key;
-  Out += "\":";
-  Out += std::to_string(V);
-}
+namespace {
 
-/// Calls Do(WireKey, Member) once per CacheStats counter: the one list
-/// the stats response is encoded and decoded by.
+/// Wire names of CacheRequest::Op, in enumerator order.
+constexpr const char *OpNames[] = {"get",   "put",     "touch",
+                                   "stats", "metrics", "shutdown"};
+
+/// Calls Do(WireKey, Member) once per CacheStats counter.
 template <class S, class Fn> void forEachCacheStat(S &St, Fn Do) {
   Do("gets", St.Gets);
   Do("hits", St.Hits);
@@ -93,85 +73,91 @@ template <class S, class Fn> void forEachCacheStat(S &St, Fn Do) {
   Do("maxBytes", St.MaxBytes);
 }
 
+// The fields of each message besides its "op" or "ok" head: the one
+// list it is encoded and decoded by.
+template <class R, class Fn> void forEachField(R &X, Fn Do) {
+  if constexpr (std::is_same_v<std::remove_const_t<R>, CacheRequest>) {
+    Do("kind", X.Kind);
+    Do("key", X.Key);
+    Do("digest", X.Digest);
+    Do("size", X.Size);
+  } else {
+    Do("found", X.Found);
+    Do("mask", X.Mask);
+    Do("stored", X.Stored);
+    Do("digest", X.Digest);
+    Do("size", X.Size);
+    Do("error", X.Error);
+    Do("hasStats", X.HasStats);
+    forEachCacheStat(X.Stats, Do);
+    Do("metricsText", X.MetricsText);
+    Do("metricsJson", X.MetricsJson);
+  }
+}
+
+/// Appends every field that is not empty, zero or false; a decoder
+/// reads an absent field as exactly that.
+template <class R> std::string encodeFields(std::string Out, const R &X) {
+  forEachField(X, [&](const char *Key, const auto &V) {
+    using T = std::decay_t<decltype(V)>;
+    if (V == T())
+      return;
+    Out.append(",\"").append(Key).append("\":");
+    if constexpr (std::is_same_v<T, std::string>)
+      appendJsonString(Out, V);
+    else if constexpr (std::is_same_v<T, bool>)
+      Out += "true";
+    else
+      Out += std::to_string(V);
+  });
+  return Out + '}';
+}
+
+/// Reads key \p K into its field of \p X; false for an unknown key.
+template <class R> bool decodeField(JsonCursor &C, const std::string &K, R &X) {
+  bool Known = false;
+  forEachField(X, [&](const char *Key, auto &V) {
+    using T = std::decay_t<decltype(V)>;
+    if (Known || K != Key)
+      return;
+    Known = true;
+    if constexpr (std::is_same_v<T, std::string>)
+      V = C.parseString();
+    else if constexpr (std::is_same_v<T, bool>)
+      V = C.parseBool();
+    else
+      V = C.parseU64();
+  });
+  return Known;
+}
+
 } // namespace
 
 std::string sc::encodeCacheRequest(const CacheRequest &R) {
   std::string Out = "{\"op\":";
-  appendJsonString(Out, opName(R.Operation));
-  if (!R.Kind.empty()) {
-    Out += ",\"kind\":";
-    appendJsonString(Out, R.Kind);
-  }
-  if (!R.Key.empty()) {
-    Out += ",\"key\":";
-    appendJsonString(Out, R.Key);
-  }
-  if (!R.Digest.empty()) {
-    Out += ",\"digest\":";
-    appendJsonString(Out, R.Digest);
-  }
-  if (R.Size)
-    appendU64Field(Out, "size", R.Size);
-  Out += '}';
-  return Out;
+  appendJsonString(Out, OpNames[static_cast<size_t>(R.Operation)]);
+  return encodeFields(std::move(Out), R);
 }
 
 bool sc::decodeCacheRequest(const std::string &Json, CacheRequest &R) {
   R = CacheRequest();
-  bool SawOp = false, BadOp = false;
+  bool GoodOp = false;
   bool Parsed = parseFlatObject(Json, [&](JsonCursor &C, const std::string &K) {
     if (K == "op") {
-      SawOp = true;
-      if (!opFromName(C.parseString(), R.Operation))
-        BadOp = true;
-    } else if (K == "kind") {
-      R.Kind = C.parseString();
-    } else if (K == "key") {
-      R.Key = C.parseString();
-    } else if (K == "digest") {
-      R.Digest = C.parseString();
-    } else if (K == "size") {
-      R.Size = C.parseU64();
-    } else {
+      const std::string Name = C.parseString();
+      const auto *It = std::find(std::begin(OpNames), std::end(OpNames), Name);
+      GoodOp = It != std::end(OpNames);
+      if (GoodOp)
+        R.Operation = static_cast<CacheRequest::Op>(It - std::begin(OpNames));
+    } else if (!decodeField(C, K, R)) {
       C.skipValue();
     }
   });
-  return Parsed && SawOp && !BadOp;
+  return Parsed && GoodOp;
 }
 
 std::string sc::encodeCacheResponse(const CacheResponse &R) {
-  std::string Out = "{\"ok\":";
-  Out += R.Ok ? "true" : "false";
-  Out += ",\"found\":";
-  Out += R.Found ? "true" : "false";
-  Out += ",\"stored\":";
-  Out += R.Stored ? "true" : "false";
-  if (!R.Digest.empty()) {
-    Out += ",\"digest\":";
-    appendJsonString(Out, R.Digest);
-  }
-  if (R.Size)
-    appendU64Field(Out, "size", R.Size);
-  if (!R.Error.empty()) {
-    Out += ",\"error\":";
-    appendJsonString(Out, R.Error);
-  }
-  if (R.HasStats) {
-    Out += ",\"hasStats\":true";
-    forEachCacheStat(R.Stats, [&](const char *Key, uint64_t V) {
-      appendU64Field(Out, Key, V);
-    });
-  }
-  if (!R.MetricsText.empty()) {
-    Out += ",\"metricsText\":";
-    appendJsonString(Out, R.MetricsText);
-  }
-  if (!R.MetricsJson.empty()) {
-    Out += ",\"metricsJson\":";
-    appendJsonString(Out, R.MetricsJson);
-  }
-  Out += '}';
-  return Out;
+  return encodeFields(std::string("{\"ok\":") + (R.Ok ? "true" : "false"), R);
 }
 
 bool sc::decodeCacheResponse(const std::string &Json, CacheResponse &R) {
@@ -181,32 +167,8 @@ bool sc::decodeCacheResponse(const std::string &Json, CacheResponse &R) {
     if (K == "ok") {
       SawOk = true;
       R.Ok = C.parseBool();
-    } else if (K == "found") {
-      R.Found = C.parseBool();
-    } else if (K == "stored") {
-      R.Stored = C.parseBool();
-    } else if (K == "digest") {
-      R.Digest = C.parseString();
-    } else if (K == "size") {
-      R.Size = C.parseU64();
-    } else if (K == "error") {
-      R.Error = C.parseString();
-    } else if (K == "hasStats") {
-      R.HasStats = C.parseBool();
-    } else if (K == "metricsText") {
-      R.MetricsText = C.parseString();
-    } else if (K == "metricsJson") {
-      R.MetricsJson = C.parseString();
-    } else {
-      bool Stat = false;
-      forEachCacheStat(R.Stats, [&](const char *Name, uint64_t &V) {
-        if (!Stat && K == Name) {
-          V = C.parseU64();
-          Stat = true;
-        }
-      });
-      if (!Stat)
-        C.skipValue();
+    } else if (!decodeField(C, K, R)) {
+      C.skipValue();
     }
   });
   return Parsed && SawOk;

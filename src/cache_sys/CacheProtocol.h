@@ -6,35 +6,30 @@
 ///
 /// \file
 /// The wire protocol between `sccached` (the shared object-cache
-/// daemon) and its clients, riding the same length-prefixed flat-JSON
-/// framing the build daemon uses (support/Socket.h + FlatJson.h).
+/// daemon) and its clients, on the length-prefixed flat-JSON framing
+/// the build daemon uses (support/Socket.h + FlatJson.h). Every message
+/// is one JSON header frame; a `put` request is followed by one binary
+/// frame of object bytes, and a `get` response by one per object found,
+/// in key order.
 ///
-/// Every request is one JSON header frame; a `put obj` request is
-/// followed by exactly one binary frame carrying the object bytes.
-/// Every response is one JSON header frame; a found `get obj` response
-/// is followed by exactly one binary frame carrying the bytes. All
-/// other payloads (action digests, stats) are small enough to ride
-/// inline in the header.
+/// The store holds two entry kinds. An `obj` is object bytes keyed by
+/// their 16-hex content hash, so both ends verify every transfer: the
+/// daemon rejects a put whose bytes do not hash to the digest and never
+/// serves a stored object that fails the check, and the client re-hashes
+/// every object it fetches. An `act` maps an *input* key (hash of a
+/// TU's content hash, effective import interface hash and build config
+/// hash) to the digest of the object those inputs produce, which lets a
+/// cold workspace resolve inputs -> digest -> verified bytes; a corrupt
+/// one leads to a miss, never to wrong bytes.
 ///
-/// Two entry kinds share the store:
-///
-///  * `obj` — content-addressed object bytes. The key IS the 16-hex
-///    content hash of the bytes, so both ends can (and do) verify
-///    every transfer: the daemon rejects a put whose bytes do not hash
-///    to the key, evicts-never-serves a stored entry that fails the
-///    check on get, and the client re-verifies every fetched object
-///    before admitting it to the local cache.
-///  * `act` — action entries mapping an *input* key (hash of a TU's
-///    content hash, effective import interface hash, and build config
-///    hash) to the 16-hex digest of the object those inputs
-///    deterministically produce. This is what lets a cold workspace —
-///    which knows its inputs but has no manifest recording output
-///    hashes — resolve inputs -> digest -> verified bytes. A corrupt
-///    action value is harmless: it leads to an object miss or a hash
-///    mismatch, never to wrong bytes.
-///
-/// Decoders skip unknown keys (parseFlatObject), so the protocol can
-/// grow without breaking older peers.
+/// Requests name `entry` (an action and its object) or, for get/touch
+/// by digest, `obj`. A put carries one input key and its digest. A get
+/// or touch carries one to CacheMaxBatch hex16 keys back to back (a
+/// touch also one digest per key); the response's `mask` holds '1'
+/// (found) or '0' per key, and a get's `digest` lists the found digests.
+/// Daemons that predate batching reject `entry` as a bad request.
+/// Decoders skip unknown keys, so the protocol can grow without
+/// breaking older peers.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -43,6 +38,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 namespace sc {
 
@@ -53,6 +49,13 @@ std::string hex16(uint64_t V);
 /// Strict inverse of hex16(): exactly 16 lowercase/uppercase hex
 /// digits. Anything else is a protocol error.
 bool parseHex16(const std::string &S, uint64_t &V);
+
+/// Splits one or more hex16 keys back to back; false on anything else.
+bool parseHex16List(const std::string &S, std::vector<uint64_t> &Out);
+
+/// Most keys per get/touch: a ~2 KiB header and 64 object frames, each
+/// far inside the 64 MiB frame cap and its own 10 s deadline.
+inline constexpr size_t CacheMaxBatch = 64;
 
 /// Aggregate counters the daemon reports via `stats` (and prints on
 /// shutdown). All lifetime totals since daemon start.
@@ -79,19 +82,20 @@ struct CacheRequest {
   /// offline views agree field-for-field).
   enum class Op { Get, Put, Touch, Stats, Metrics, Shutdown };
   Op Operation = Op::Stats;
-  std::string Kind;   ///< "obj" or "act"; empty for stats/shutdown.
-  std::string Key;    ///< hex16 entry key.
-  std::string Digest; ///< put act: hex16 object digest this action maps to.
-  uint64_t Size = 0;  ///< put obj: byte count of the following binary frame.
+  std::string Kind;   ///< "entry" or "obj"; empty for stats/shutdown.
+  std::string Key;    ///< hex16 entry key (get/touch: one or more).
+  std::string Digest; ///< put/touch entry: hex16 object digest(s).
+  uint64_t Size = 0;  ///< put: byte count of the following binary frame.
 };
 
 /// One daemon response (the JSON header frame).
 struct CacheResponse {
   bool Ok = false;      ///< Request was well-formed and processed.
-  bool Found = false;   ///< get/touch: entry exists (and verified, for obj).
+  bool Found = false;   ///< get/touch: every key was found.
+  std::string Mask;     ///< get/touch: '1' or '0' per requested key.
   bool Stored = false;  ///< put: entry admitted (false = rejected corrupt).
-  std::string Digest;   ///< get act hit: the mapped object digest.
-  uint64_t Size = 0;    ///< get obj hit: byte count of the following frame.
+  std::string Digest;   ///< get entry: the found objects' digests.
+  uint64_t Size = 0;    ///< Not set: each frame carries its own length.
   std::string Error;    ///< Ok == false: human-readable reason.
   bool HasStats = false;
   CacheStats Stats;

@@ -8,6 +8,8 @@
 
 #include "support/Hashing.h"
 
+#include <algorithm>
+
 using namespace sc;
 
 namespace {
@@ -26,59 +28,88 @@ RemoteCacheClient::connect(const std::string &SocketPath, std::string *Err) {
       new RemoteCacheClient(std::move(Conn)));
 }
 
+RemoteCacheClient::Result RemoteCacheClient::fail() {
+  Failed = true;
+  Conn.close();
+  return Result::Error;
+}
+
 bool RemoteCacheClient::roundTrip(const CacheRequest &Req, CacheResponse &Resp,
-                                  const std::string *ObjBytes,
-                                  std::string *RespBytes) {
+                                  const std::string *ObjBytes) {
   if (Failed)
     return false;
-  auto Fail = [&] {
-    Failed = true;
-    Conn.close();
-    return false;
-  };
-  if (!Conn.sendFrame(encodeCacheRequest(Req)))
-    return Fail();
-  if (ObjBytes && !Conn.sendFrame(*ObjBytes))
-    return Fail();
+  ++RoundTrips;
   std::string Header;
-  if (!Conn.recvFrame(Header, FrameTimeoutMs, nullptr))
-    return Fail();
-  if (!decodeCacheResponse(Header, Resp) || !Resp.Ok)
-    return Fail();
-  if (RespBytes && Resp.Found) {
-    if (!Conn.recvFrame(*RespBytes, FrameTimeoutMs, nullptr))
-      return Fail();
-    if (RespBytes->size() != Resp.Size)
-      return Fail();
+  if (!Conn.sendFrame(encodeCacheRequest(Req)) ||
+      (ObjBytes && !Conn.sendFrame(*ObjBytes)) ||
+      !Conn.recvFrame(Header, FrameTimeoutMs, nullptr) ||
+      !decodeCacheResponse(Header, Resp) || !Resp.Ok) {
+    fail();
+    return false;
   }
   return true;
 }
 
 RemoteCacheClient::Result
+RemoteCacheClient::lookup(CacheRequest::Op Op,
+                          const std::vector<uint64_t> &Keys,
+                          const std::vector<uint64_t> &Digests,
+                          std::vector<Fetched> &Out) {
+  const bool Get = Op == CacheRequest::Op::Get;
+  Out.assign(Keys.size(), Fetched());
+  for (size_t First = 0; First < Keys.size(); First += CacheMaxBatch) {
+    const size_t N = std::min(CacheMaxBatch, Keys.size() - First);
+    CacheRequest Req;
+    Req.Operation = Op;
+    Req.Kind = "entry";
+    for (size_t I = First; I != First + N; ++I) {
+      Req.Key += hex16(Keys[I]);
+      if (!Get)
+        Req.Digest += hex16(Digests[I]);
+    }
+    CacheResponse Resp;
+    std::vector<uint64_t> Found;
+    if (!roundTrip(Req, Resp, nullptr))
+      return Result::Error;
+    const size_t Hits = std::count(Resp.Mask.begin(), Resp.Mask.end(), '1');
+    if (Resp.Mask.size() != N ||
+        Resp.Mask.find_first_not_of("01") != std::string::npos ||
+        (Get && Hits && !parseHex16List(Resp.Digest, Found)) ||
+        Found.size() != (Get ? Hits : 0))
+      return fail();
+    for (size_t I = 0, F = 0; I != N; ++I) {
+      Fetched &R = Out[First + I];
+      R.Hit = Resp.Mask[I] == '1';
+      if (!R.Hit || !Get)
+        continue;
+      if (!Conn.recvFrame(R.Bytes, FrameTimeoutMs, nullptr))
+        return fail();
+      // Never trust the wire: the daemon verified its copy, but these
+      // bytes crossed a socket since. A bad one is a miss for its TU.
+      R.Digest = Found[F++];
+      R.Hit = hashString(R.Bytes) == R.Digest;
+    }
+  }
+  return Result::Hit;
+}
+
+RemoteCacheClient::Result
 RemoteCacheClient::fetch(uint64_t InputKey, uint64_t &Digest,
                          std::string &Bytes) {
-  CacheRequest Req;
-  Req.Operation = CacheRequest::Op::Get;
-  Req.Kind = "act";
-  Req.Key = hex16(InputKey);
-  CacheResponse Resp;
-  if (!roundTrip(Req, Resp, nullptr, nullptr))
-    return Result::Error;
-  if (!Resp.Found || !parseHex16(Resp.Digest, Digest))
-    return Result::Miss;
+  std::vector<Fetched> Out;
+  const Result R = fetchBatch({InputKey}, Out);
+  if (R == Result::Hit) {
+    Digest = Out[0].Digest;
+    Bytes = std::move(Out[0].Bytes);
+  }
+  return R == Result::Hit && !Out[0].Hit ? Result::Miss : R;
+}
 
-  Req.Kind = "obj";
-  Req.Key = Resp.Digest;
-  CacheResponse ObjResp;
-  if (!roundTrip(Req, ObjResp, nullptr, &Bytes))
-    return Result::Error;
-  if (!ObjResp.Found)
-    return Result::Miss;
-  // Never trust the wire: the daemon verified its copy, but these
-  // bytes crossed a socket since.
-  if (hashString(Bytes) != Digest)
-    return Result::Miss;
-  return Result::Hit;
+RemoteCacheClient::Result
+RemoteCacheClient::touchEntry(uint64_t InputKey, uint64_t Digest) {
+  std::vector<Fetched> Out;
+  const Result R = touchBatch({InputKey}, {Digest}, Out);
+  return R == Result::Hit && !Out[0].Hit ? Result::Miss : R;
 }
 
 RemoteCacheClient::Result
@@ -86,47 +117,21 @@ RemoteCacheClient::publish(uint64_t InputKey, uint64_t Digest,
                            const std::string &Bytes) {
   CacheRequest Req;
   Req.Operation = CacheRequest::Op::Put;
-  Req.Kind = "obj";
-  Req.Key = hex16(Digest);
-  Req.Size = Bytes.size();
-  CacheResponse Resp;
-  if (!roundTrip(Req, Resp, &Bytes, nullptr))
-    return Result::Error;
-
-  Req = CacheRequest();
-  Req.Operation = CacheRequest::Op::Put;
-  Req.Kind = "act";
+  Req.Kind = "entry";
   Req.Key = hex16(InputKey);
   Req.Digest = hex16(Digest);
-  CacheResponse ActResp;
-  if (!roundTrip(Req, ActResp, nullptr, nullptr))
+  Req.Size = Bytes.size();
+  CacheResponse Resp;
+  if (!roundTrip(Req, Resp, &Bytes))
     return Result::Error;
-  return Resp.Stored || ActResp.Stored ? Result::Hit : Result::Miss;
-}
-
-RemoteCacheClient::Result
-RemoteCacheClient::touchEntry(uint64_t InputKey, uint64_t Digest) {
-  CacheRequest Req;
-  Req.Operation = CacheRequest::Op::Touch;
-  Req.Kind = "act";
-  Req.Key = hex16(InputKey);
-  CacheResponse ActResp;
-  if (!roundTrip(Req, ActResp, nullptr, nullptr))
-    return Result::Error;
-
-  Req.Kind = "obj";
-  Req.Key = hex16(Digest);
-  CacheResponse ObjResp;
-  if (!roundTrip(Req, ObjResp, nullptr, nullptr))
-    return Result::Error;
-  return ActResp.Found && ObjResp.Found ? Result::Hit : Result::Miss;
+  return Resp.Stored ? Result::Hit : Result::Miss;
 }
 
 RemoteCacheClient::Result RemoteCacheClient::stats(CacheStats &Out) {
   CacheRequest Req;
   Req.Operation = CacheRequest::Op::Stats;
   CacheResponse Resp;
-  if (!roundTrip(Req, Resp, nullptr, nullptr))
+  if (!roundTrip(Req, Resp, nullptr))
     return Result::Error;
   if (!Resp.HasStats)
     return Result::Miss;
@@ -139,7 +144,7 @@ RemoteCacheClient::Result RemoteCacheClient::metrics(std::string &Text,
   CacheRequest Req;
   Req.Operation = CacheRequest::Op::Metrics;
   CacheResponse Resp;
-  if (!roundTrip(Req, Resp, nullptr, nullptr))
+  if (!roundTrip(Req, Resp, nullptr))
     return Result::Error;
   if (Resp.MetricsText.empty() && Resp.MetricsJson.empty())
     return Result::Miss; // An older daemon that predates the verb.
@@ -152,5 +157,5 @@ bool RemoteCacheClient::shutdownServer() {
   CacheRequest Req;
   Req.Operation = CacheRequest::Op::Shutdown;
   CacheResponse Resp;
-  return roundTrip(Req, Resp, nullptr, nullptr);
+  return roundTrip(Req, Resp, nullptr);
 }

@@ -9,9 +9,9 @@
 /// one persistent connection. The BuildDriver composes its verbs into
 /// the tiering contract:
 ///
-///   local miss -> fetch(input key)     [action -> object -> verify]
-///   local hit  -> touchOrNeedPut(key)  [keep the fleet's hot set warm]
-///   compiled   -> publish(key, digest, bytes)
+///   local misses -> fetchBatch(input keys)   [action -> object -> verify]
+///   local hits   -> touchBatch(keys, digests) [keep the fleet's hot set warm]
+///   compiled     -> publish(key, digest, bytes)
 ///
 /// Every fetched object is re-verified here (hash(bytes) == digest)
 /// before the caller may admit it to the local cache — the daemon
@@ -33,6 +33,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
 namespace sc {
 
@@ -45,22 +46,37 @@ public:
   static std::unique_ptr<RemoteCacheClient>
   connect(const std::string &SocketPath, std::string *Err);
 
-  /// Full fetch pipeline for one TU: resolve the action entry for
-  /// \p InputKey, fetch the object it names, verify the bytes hash to
-  /// the digest. On Hit, \p Digest and \p Bytes are the verified
-  /// object. A fetched-but-corrupt object reports Miss (the daemon
-  /// already evicted its copy; we recompile).
+  /// One key's answer: a get hits when the object arrived and hashes to
+  /// Digest, a touch when the remote holds both entries.
+  struct Fetched {
+    bool Hit = false;
+    uint64_t Digest = 0;
+    std::string Bytes;
+  };
+
+  /// Resolves input key I to its verified object in \p Out[I], in
+  /// ceil(N / CacheMaxBatch) round trips; Error when any failed.
+  Result fetchBatch(const std::vector<uint64_t> &InputKeys,
+                    std::vector<Fetched> &Out) {
+    return lookup(CacheRequest::Op::Get, InputKeys, {}, Out);
+  }
+
+  /// Refreshes each locally-clean TU's entries, batched the same way; a
+  /// miss means the caller should publish, which is how a warm builder
+  /// populates a cold fleet cache without recompiling anything.
+  Result touchBatch(const std::vector<uint64_t> &InputKeys,
+                    const std::vector<uint64_t> &Digests,
+                    std::vector<Fetched> &Out) {
+    return lookup(CacheRequest::Op::Touch, InputKeys, Digests, Out);
+  }
+
+  /// One-key fetchBatch and touchBatch.
   Result fetch(uint64_t InputKey, uint64_t &Digest, std::string &Bytes);
+  Result touchEntry(uint64_t InputKey, uint64_t Digest);
 
   /// Publishes a compiled object and its action mapping.
   Result publish(uint64_t InputKey, uint64_t Digest,
                  const std::string &Bytes);
-
-  /// Refreshes the action + object entries for a locally-clean TU;
-  /// Miss means the remote lacks (part of) it and the caller should
-  /// publish. This is what lets an already-warm builder populate a
-  /// cold fleet cache without recompiling anything.
-  Result touchEntry(uint64_t InputKey, uint64_t Digest);
 
   Result stats(CacheStats &Out);
 
@@ -76,17 +92,26 @@ public:
   /// cheaply.
   bool failed() const { return Failed; }
 
+  /// Request/response exchanges attempted over this connection.
+  uint64_t roundTrips() const { return RoundTrips; }
+
 private:
   explicit RemoteCacheClient(UnixSocket Conn) : Conn(std::move(Conn)) {}
 
-  /// One request/response exchange. Sends \p ObjBytes as a binary
-  /// frame after the header when non-null; receives a binary payload
-  /// into \p RespBytes when the response announces one.
+  /// One request/response exchange, sending \p ObjBytes as a binary
+  /// frame after the header when non-null. Object frames that follow
+  /// the reply are the caller's to receive.
   bool roundTrip(const CacheRequest &Req, CacheResponse &Resp,
-                 const std::string *ObjBytes, std::string *RespBytes);
+                 const std::string *ObjBytes);
+  Result lookup(CacheRequest::Op Op, const std::vector<uint64_t> &Keys,
+                const std::vector<uint64_t> &Digests,
+                std::vector<Fetched> &Out);
+  /// Latches the failed state and closes the connection.
+  Result fail();
 
   UnixSocket Conn;
   bool Failed = false;
+  uint64_t RoundTrips = 0;
 };
 
 } // namespace sc

@@ -10,6 +10,8 @@
 #include <cerrno>
 #include <chrono>
 #include <cstdlib>
+#include <mutex>
+#include <set>
 #include <thread>
 
 #include <signal.h>
@@ -22,8 +24,20 @@ namespace {
 /// Per-acquisition token appended to the lock content so every lock
 /// file this process writes is distinguishable — from other processes
 /// (by PID) and from other acquisitions in this process (by token).
-/// Ownership checks compare whole content, never just the PID.
-std::atomic<uint64_t> NextToken{1};
+/// Ownership checks compare whole content, never just the PID. Tokens
+/// start from the clock, so no hand-written lock content names one.
+std::atomic<uint64_t> NextToken{static_cast<uint64_t>(
+    std::chrono::steady_clock::now().time_since_epoch().count())};
+
+/// Lock contents this process wrote and then abandoned: their release
+/// threw or could not unlink the file. Nobody holds them any more.
+std::mutex AbandonedMu;
+std::set<std::string> Abandoned;
+
+void abandon(const std::string &Content) {
+  std::lock_guard<std::mutex> L(AbandonedMu);
+  Abandoned.insert(Content);
+}
 
 /// Parses "pid N #token [tag]" lock-file content. Returns 0 when the
 /// content is not in our format or the PID is non-positive — an
@@ -63,6 +77,18 @@ bool ownerIsDead(long Pid) {
   return errno == ESRCH;
 }
 
+/// True when no holder is left behind lock content \p Content: its
+/// owner process is verifiably dead, or it is an acquisition of this
+/// process that was abandoned.
+bool ownerIsGone(const std::string &Content, long Pid) {
+  {
+    std::lock_guard<std::mutex> L(AbandonedMu);
+    if (Abandoned.count(Content))
+      return true;
+  }
+  return ownerIsDead(Pid);
+}
+
 } // namespace
 
 std::optional<FileLock::OwnerInfo>
@@ -72,7 +98,7 @@ FileLock::probe(VirtualFileSystem &FS, const std::string &Path) {
     return std::nullopt;
   OwnerInfo Info;
   Info.Pid = parseOwnerPid(*Content);
-  Info.Alive = Info.Pid != 0 && !ownerIsDead(Info.Pid);
+  Info.Alive = Info.Pid != 0 && !ownerIsGone(*Content, Info.Pid);
   Info.Tag = parseOwnerTag(*Content);
   return Info;
 }
@@ -111,7 +137,7 @@ FileLock FileLock::acquire(VirtualFileSystem &FS, const std::string &Path,
     return FS.createExclusive(Path, Content) ? FileLock(&FS, Path, Content)
                                              : FileLock();
   long Owner = parseOwnerPid(*Existing);
-  if (Owner == 0 || !ownerIsDead(Owner))
+  if (Owner == 0 || !ownerIsGone(*Existing, Owner))
     return FileLock();
   const std::string Aside = Path + ".reclaim." + std::to_string(::getpid()) +
                             "." + std::to_string(Token);
@@ -167,7 +193,9 @@ FileLock::~FileLock() {
     // A simulated crash (CrashPoint) during the destructor's unlock
     // must not escape a noexcept destructor. The lock file stays
     // behind — exactly what a process dying mid-exit leaves — and the
-    // next build times out on it and degrades to read-only.
+    // next build times out on it and reclaims it, as it would reclaim a
+    // dead process's.
+    abandon(Content);
     FS = nullptr;
   }
 }
@@ -181,8 +209,8 @@ void FileLock::release() {
     // it behind would wedge every later build behind a lock whose
     // owner is alive.
     std::optional<std::string> Cur = FS->readFile(Path);
-    if (!Cur || *Cur == Content)
-      FS->removeFile(Path);
+    if ((!Cur || *Cur == Content) && !FS->removeFile(Path))
+      abandon(Content);
   }
   FS = nullptr;
 }

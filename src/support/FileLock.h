@@ -20,9 +20,11 @@
 /// per-acquisition token. When acquisition times out, acquire() probes
 /// the recorded owner with `kill(pid, 0)`: if that process is
 /// verifiably gone (ESRCH) the stale lock is reclaimed instead of
-/// degrading the build to read-only. A live owner (or an
-/// unreadable/foreign lock file, where liveness cannot be proven) is
-/// never reclaimed.
+/// degrading the build to read-only. So is a lock this process itself
+/// abandoned: an acquisition whose release threw or failed to unlink
+/// the file has no holder left, though its PID is alive. Any other
+/// live owner (or an unreadable/foreign lock file, where liveness
+/// cannot be proven) is never reclaimed.
 ///
 /// Reclaim protocol: the stale file is first *captured* by an atomic
 /// rename to a waiter-unique aside name — of N waiters racing to

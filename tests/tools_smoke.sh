@@ -65,6 +65,14 @@ printf 'fn triple(x: int) -> int { return x * 3; }\n' > util.mc
 OUT="$("$SCBUILD" . --quiet --run)"
 [ "$OUT" = "42" ] || { echo "FAIL after restoring util.mc: got '$OUT'"; exit 1; }
 
+# A no-op build rewrites no state it left unchanged: out/state.db keeps
+# its inode and mtime.
+"$SCBUILD" . --quiet
+BEFORE="$(stat -c %i.%Y out/state.db)"
+"$SCBUILD" . --quiet
+[ "$(stat -c %i.%Y out/state.db)" = "$BEFORE" ] || {
+  echo "FAIL: a no-op build rewrote out/state.db"; exit 1; }
+
 # Body edit: exactly one file recompiles and dormant passes skip.
 sed -i 's/x \* 3/x + x + x/' util.mc
 SUMMARY="$("$SCBUILD" .)"
@@ -399,6 +407,18 @@ OUT="$("$SCBUILD" ws2 --quiet --run)"
 # The remote-fed objects are byte-identical to the compiled ones.
 cmp ws1/out/util.mc.o ws2/out/util.mc.o || {
   echo "FAIL: remote-fed object differs from compiled object"; exit 1; }
+
+# Workspace 1 again, through the warm cache: every TU is clean, so the
+# build touches them all in one batched round trip and publishes nothing.
+"$SCBUILD" ws1 --quiet --remote-cache="$CACHE_SOCK" \
+  --report-json=ws1-warm.json
+python3 - <<'PYEOF' || { echo "FAIL: warm rebuild round trips"; exit 1; }
+import json
+
+remote = json.load(open("ws1-warm.json"))["remote"]
+assert remote["round_trips"] == 1, remote
+assert remote["puts"] == 0, remote
+PYEOF
 
 # --stats answers over the same socket.
 "$SCCACHED" --socket="$CACHE_SOCK" --stats | grep -q "entries" || {
