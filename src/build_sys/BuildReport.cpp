@@ -12,6 +12,7 @@
 
 #include <cstdio>
 #include <type_traits>
+#include <vector>
 
 using namespace sc;
 
@@ -30,21 +31,23 @@ std::string stringArray(const std::vector<std::string> &V) {
   return J + "]";
 }
 
-} // namespace
+/// A run of adjacent facts sharing a group, each a `"key": value` JSON
+/// member. Name is empty for top-level facts.
+struct FactGroup {
+  std::string Name;
+  std::vector<std::string> Members;
+};
 
-std::vector<FactGroupJson>
-sc::factGroupsJson(const BuildStats &S, std::string (*Time)(double),
-                   bool Compact, bool (*Keep)(const BuildFact &, bool)) {
-  std::vector<FactGroupJson> Groups;
+/// \p S's facts as JSON members, gathered by group in list order.
+std::vector<FactGroup> factGroups(const BuildStats &S) {
+  std::vector<FactGroup> Groups;
   forEachBuildFact(S, [&](const BuildFact &F, const auto &V) {
     using T = std::decay_t<decltype(V)>;
-    if (Keep && !Keep(F, V == T()))
-      return;
-    std::string M = "\"" + std::string(F.key()) + (Compact ? "\":" : "\": ");
+    std::string M = "\"" + std::string(F.key()) + "\": ";
     if constexpr (std::is_same_v<T, bool>)
       M += V ? "true" : "false";
     else if constexpr (std::is_floating_point_v<T>)
-      M += Time(V);
+      M += num(V);
     else
       M += std::to_string(V);
     if (Groups.empty() || Groups.back().Name != F.group())
@@ -54,23 +57,7 @@ sc::factGroupsJson(const BuildStats &S, std::string (*Time)(double),
   return Groups;
 }
 
-std::string sc::renderFactGroups(const std::vector<FactGroupJson> &Groups,
-                                 const char *Before, const char *After,
-                                 bool Compact) {
-  std::string J;
-  for (const FactGroupJson &G : Groups) {
-    if (G.Name.empty()) {
-      for (const std::string &M : G.Members)
-        J.append(Before).append(M).append(After);
-      continue;
-    }
-    J += Before + ("\"" + G.Name) + (Compact ? "\":{" : "\": {");
-    for (size_t I = 0; I != G.Members.size(); ++I)
-      J.append(I ? (Compact ? "," : ", ") : "").append(G.Members[I]);
-    J.append("}").append(After);
-  }
-  return J;
-}
+} // namespace
 
 std::string sc::buildReportJson(const BuildStats &S,
                                 const MetricsRegistry *Metrics) {
@@ -79,18 +66,25 @@ std::string sc::buildReportJson(const BuildStats &S,
   J += "  \"schema_version\": " + std::to_string(BuildReportSchemaVersion) +
        ",\n";
 
-  auto Groups = factGroupsJson(S, num, /*Compact=*/false);
-  for (FactGroupJson &G : Groups) {
-    if (G.Name != "deps")
+  for (FactGroup &G : factGroups(S)) {
+    if (G.Name.empty()) {
+      for (const std::string &M : G.Members)
+        J += "  " + M + ",\n";
       continue;
-    // "checked" tells "the verifier ran and found nothing" from "the
-    // verifier never ran", so zero counts stay unambiguous.
-    const bool Checked = S.DepsTUsChecked != 0 || !S.DepFindings.empty();
-    G.Members.insert(G.Members.begin(), std::string("\"checked\": ") +
-                                            (Checked ? "true" : "false"));
-    G.Members.push_back("\"findings\": " + stringArray(S.DepFindings));
+    }
+    if (G.Name == "deps") {
+      // "checked" tells "the verifier ran and found nothing" from "the
+      // verifier never ran", so zero counts stay unambiguous.
+      const bool Checked = S.DepsTUsChecked != 0 || !S.DepFindings.empty();
+      G.Members.insert(G.Members.begin(), std::string("\"checked\": ") +
+                                              (Checked ? "true" : "false"));
+      G.Members.push_back("\"findings\": " + stringArray(S.DepFindings));
+    }
+    J += "  \"" + G.Name + "\": {";
+    for (size_t I = 0; I != G.Members.size(); ++I)
+      J += (I ? ", " : "") + G.Members[I];
+    J += "},\n";
   }
-  J += renderFactGroups(Groups, "  ", ",\n", /*Compact=*/false);
 
   J += "  \"warnings\": " + stringArray(S.Warnings) + ",\n";
   if (!S.ErrorText.empty())

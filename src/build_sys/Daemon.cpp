@@ -17,113 +17,62 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <iterator>
 
 #include <unistd.h>
 
 using namespace sc;
 
 //===----------------------------------------------------------------------===//
-// Wire codec
-//
-// Message shapes live here; the flat-JSON primitives (JsonCursor,
-// parseFlatObject, appendJsonString) are shared with the sccached
-// protocol via support/FlatJson.h.
+// Wire codec: one field list per message (support/FlatJson.h).
 //===----------------------------------------------------------------------===//
 
-std::string sc::encodeRequest(const DaemonRequest &R) {
-  std::string J = "{\"verb\":";
-  appendJsonString(J, R.Verb);
-  J += ",\"clean\":" + std::string(R.Clean ? "true" : "false");
-  J += ",\"quiet\":" + std::string(R.Quiet ? "true" : "false");
-  J += ",\"run\":" + std::string(R.Run ? "true" : "false");
-  J += ",\"runArgs\":[";
-  for (size_t I = 0; I != R.RunArgs.size(); ++I)
-    J += (I ? "," : "") + std::to_string(R.RunArgs[I]);
-  J += "]";
-  J += ",\"opt\":" + std::to_string(R.Opt);
-  J += ",\"mode\":" + std::to_string(R.Mode);
-  J += ",\"reuse\":" + std::string(R.Reuse ? "true" : "false");
-  J += ",\"jobs\":" + std::to_string(R.Jobs);
-  J += ",\"query\":";
-  appendJsonString(J, R.Query);
-  J += "}";
-  return J;
-}
+namespace sc {
+
+template <> struct JsonFields<DaemonRequest> {
+  template <class R, class Fn> static void walk(R &X, Fn Do) {
+    Do("verb", X.Verb);
+    Do("clean", X.Clean);
+    Do("quiet", X.Quiet);
+    Do("run", X.Run);
+    Do("runArgs", X.RunArgs);
+    Do("opt", X.Opt);
+    Do("mode", X.Mode);
+    Do("reuse", X.Reuse);
+    Do("jobs", X.Jobs);
+    Do("query", X.Query);
+  }
+};
+
+// A frame carries its build facts when it has stats; reading any of
+// them says it does.
+template <> struct JsonFields<DaemonFrame> {
+  template <class F, class Fn> static void walk(F &X, Fn Do) {
+    constexpr JsonField S = JsonField::Sparse;
+    Do("type", X.Type);
+    Do("text", X.Text);
+    Do("code", X.Code);
+    Do("queueDepth", X.QueueDepth, S);
+    Do("retryAfterMs", X.RetryAfterMs, S);
+    Do("coalesced", X.Coalesced, S);
+    forEachFrameFact(X, [&](auto Member, auto &V) {
+      Do(buildFactOf(Member).Path, V, X.HasStats);
+    });
+  }
+};
+
+} // namespace sc
+
+std::string sc::encodeRequest(const DaemonRequest &R) { return encodeJson(R); }
 
 bool sc::decodeRequest(const std::string &Json, DaemonRequest &R) {
-  return parseFlatObject(Json, [&](JsonCursor &C, const std::string &Key) {
-    if (Key == "verb")
-      R.Verb = C.parseString();
-    else if (Key == "clean")
-      R.Clean = C.parseBool();
-    else if (Key == "quiet")
-      R.Quiet = C.parseBool();
-    else if (Key == "run")
-      R.Run = C.parseBool();
-    else if (Key == "runArgs")
-      R.RunArgs = C.parseIntArray();
-    else if (Key == "opt")
-      R.Opt = static_cast<int>(C.parseInt());
-    else if (Key == "mode")
-      R.Mode = static_cast<int>(C.parseInt());
-    else if (Key == "reuse")
-      R.Reuse = C.parseBool();
-    else if (Key == "jobs")
-      R.Jobs = static_cast<unsigned>(C.parseInt());
-    else if (Key == "query")
-      R.Query = C.parseString();
-    else
-      C.skipValue();
-  });
+  return decodeJson(Json, R);
 }
 
-std::string sc::encodeFrame(const DaemonFrame &F) {
-  std::string J = "{\"type\":";
-  appendJsonString(J, F.Type);
-  J += ",\"text\":";
-  appendJsonString(J, F.Text);
-  J += ",\"code\":" + std::to_string(F.Code);
-  if (F.Type == "busy") {
-    J += ",\"queueDepth\":" + std::to_string(F.QueueDepth);
-    J += ",\"retryAfterMs\":" + std::to_string(F.RetryAfterMs);
-  }
-  if (F.Coalesced)
-    J += ",\"coalesced\":true";
-  if (F.HasStats)
-    forEachFrameFact(F, [&](auto Member, const auto &V) {
-      J += ",\"" + std::string(buildFactOf(Member).Path) +
-           "\":" + std::to_string(V);
-    });
-  J += "}";
-  return J;
-}
+std::string sc::encodeFrame(const DaemonFrame &F) { return encodeJson(F); }
 
 bool sc::decodeFrame(const std::string &Json, DaemonFrame &F) {
-  return parseFlatObject(Json, [&](JsonCursor &C, const std::string &Key) {
-    if (Key == "type")
-      F.Type = C.parseString();
-    else if (Key == "text")
-      F.Text = C.parseString();
-    else if (Key == "code")
-      F.Code = static_cast<int>(C.parseInt());
-    else if (Key == "queueDepth")
-      F.QueueDepth = static_cast<uint32_t>(C.parseInt());
-    else if (Key == "retryAfterMs")
-      F.RetryAfterMs = static_cast<uint32_t>(C.parseInt());
-    else if (Key == "coalesced")
-      F.Coalesced = C.parseBool();
-    else {
-      bool Known = false;
-      forEachFrameFact(F, [&](auto Member, auto &V) {
-        if (Known || Key != buildFactOf(Member).Path)
-          return;
-        V = static_cast<std::decay_t<decltype(V)>>(C.parseInt());
-        Known = F.HasStats = true;
-      });
-      if (!Known)
-        C.skipValue();
-    }
-  });
+  return decodeJson(Json, F);
 }
 
 //===----------------------------------------------------------------------===//
@@ -201,6 +150,13 @@ RenderedOutcome failure(std::string Text, int Code) {
   R.Code = Code;
   return R;
 }
+
+/// The metric of each BuildDaemon::Event, in enumerator order.
+constexpr const char *EventMetrics[] = {
+    "daemon.builds_served",    "daemon.requests_served",
+    "daemon.coalesced",        "daemon.busy_rejections",
+    "daemon.request_timeouts", "daemon.disconnects",
+    "daemon.cancelled_on_drain"};
 } // namespace
 
 std::string sc::daemonSocketPath(const std::string &HostRoot,
@@ -280,9 +236,7 @@ void BuildDaemon::drain() {
     }
     Queue.clear();
     if (Cancelled) {
-      Svc.CancelledOnDrain.fetch_add(Cancelled);
-      if (MetricsRegistry *M = Config.Build.Compiler.Metrics)
-        M->counter("daemon.cancelled_on_drain").add(Cancelled);
+      countEvent(Event::CancelledOnDrain, Cancelled);
       chat("scbuildd: drain cancelled %zu queued request(s)\n", Cancelled);
     }
   }
@@ -296,20 +250,28 @@ void BuildDaemon::drain() {
 
 DaemonServiceStats BuildDaemon::serviceStats() const {
   DaemonServiceStats S;
-  S.BuildsServed = Svc.BuildsServed.load();
-  S.RequestsServed = Svc.RequestsServed.load();
-  S.Coalesced = Svc.Coalesced.load();
-  S.BusyRejections = Svc.BusyRejections.load();
-  S.RequestTimeouts = Svc.RequestTimeouts.load();
-  S.Disconnects = Svc.Disconnects.load();
-  S.CancelledOnDrain = Svc.CancelledOnDrain.load();
-  S.QueueHighWater = Svc.QueueHighWater.load();
+  S.BuildsServed = count(Event::BuildsServed);
+  S.RequestsServed = count(Event::RequestsServed);
+  S.Coalesced = count(Event::Coalesced);
+  S.BusyRejections = count(Event::BusyRejections);
+  S.RequestTimeouts = count(Event::RequestTimeouts);
+  S.Disconnects = count(Event::Disconnects);
+  S.CancelledOnDrain = count(Event::CancelledOnDrain);
+  S.QueueHighWater = QueueHighWater.load();
   S.ActiveConnections = activeConnections();
   {
     std::lock_guard<std::mutex> L(Mu);
     S.QueueDepth = static_cast<uint32_t>(Queue.size());
   }
   return S;
+}
+
+void BuildDaemon::countEvent(Event E, uint64_t N) {
+  static_assert(std::size(EventMetrics) ==
+                static_cast<size_t>(Event::NumEvents));
+  Events[static_cast<size_t>(E)].fetch_add(N);
+  if (MetricsRegistry *M = Config.Build.Compiler.Metrics)
+    M->counter(EventMetrics[static_cast<size_t>(E)]).add(N);
 }
 
 BuildStats BuildDaemon::lastBuildStats() const {
@@ -327,7 +289,7 @@ void BuildDaemon::publishGauges() {
     Depth = static_cast<uint32_t>(Queue.size());
   }
   M->gauge("daemon.queue_depth").set(Depth);
-  M->gauge("daemon.queue_high_water").max(Svc.QueueHighWater.load());
+  M->gauge("daemon.queue_high_water").max(QueueHighWater.load());
   M->gauge("daemon.connections_active").set(activeConnections());
 }
 
@@ -402,12 +364,8 @@ void BuildDaemon::runJob(const std::shared_ptr<BuildJob> &Job) {
   if (Job->Clean)
     Driver->clean();
   BuildStats Stats = Driver->build();
-  Svc.BuildsServed.fetch_add(1);
-  Svc.RequestsServed.fetch_add(Job->Waiters.size());
-  if (MetricsRegistry *M = Config.Build.Compiler.Metrics) {
-    M->counter("daemon.builds_served").add(1);
-    M->counter("daemon.requests_served").add(Job->Waiters.size());
-  }
+  countEvent(Event::BuildsServed);
+  countEvent(Event::RequestsServed, Job->Waiters.size());
 
   const bool Stateful = Config.Build.Compiler.Stateful.SkipMode !=
                         StatefulConfig::Mode::Stateless;
@@ -476,9 +434,7 @@ void BuildDaemon::builderMain() {
       if (Config.RequestTimeoutMs && !Job->Cancelled &&
           std::chrono::steady_clock::now() - Job->EnqueuedAt >
               std::chrono::milliseconds(Config.RequestTimeoutMs)) {
-        Svc.RequestTimeouts.fetch_add(Job->Waiters.size());
-        if (MetricsRegistry *M = Config.Build.Compiler.Metrics)
-          M->counter("daemon.request_timeouts").add(Job->Waiters.size());
+        countEvent(Event::RequestTimeouts, Job->Waiters.size());
         cancelJob(*Job, 4,
                   "scbuild: error: build request timed out in the daemon "
                   "queue\n");
@@ -560,9 +516,7 @@ void BuildDaemon::handleBuildRequest(UnixSocket &Conn,
         Job = Pending;
         WaiterIdx = Job->Waiters.size();
         Job->Waiters.push_back(Req);
-        Svc.Coalesced.fetch_add(1);
-        if (MetricsRegistry *M = CO.Metrics)
-          M->counter("daemon.coalesced").add(1);
+        countEvent(Event::Coalesced);
         break;
       }
     }
@@ -570,9 +524,7 @@ void BuildDaemon::handleBuildRequest(UnixSocket &Conn,
       if (Queue.size() >= Config.MaxQueue) {
         const uint32_t Depth = static_cast<uint32_t>(Queue.size());
         L.unlock();
-        Svc.BusyRejections.fetch_add(1);
-        if (MetricsRegistry *M = CO.Metrics)
-          M->counter("daemon.busy_rejections").add(1);
+        countEvent(Event::BusyRejections);
         DaemonFrame B;
         B.Type = "busy";
         B.Code = 3;
@@ -590,8 +542,8 @@ void BuildDaemon::handleBuildRequest(UnixSocket &Conn,
       Job->EnqueuedAt = std::chrono::steady_clock::now();
       Queue.push_back(Job);
       const uint32_t Depth = static_cast<uint32_t>(Queue.size());
-      uint32_t HW = Svc.QueueHighWater.load();
-      while (Depth > HW && !Svc.QueueHighWater.compare_exchange_weak(HW, Depth))
+      uint32_t HW = QueueHighWater.load();
+      while (Depth > HW && !QueueHighWater.compare_exchange_weak(HW, Depth))
         ;
     }
   }
@@ -614,9 +566,7 @@ void BuildDaemon::handleBuildRequest(UnixSocket &Conn,
             // Still queued past the deadline: cancel the whole wave
             // (every waiter shares the enqueue time).
             Queue.erase(It);
-            Svc.RequestTimeouts.fetch_add(Job->Waiters.size());
-            if (MetricsRegistry *M = CO.Metrics)
-              M->counter("daemon.request_timeouts").add(Job->Waiters.size());
+            countEvent(Event::RequestTimeouts, Job->Waiters.size());
             cancelJob(*Job, 4,
                       "scbuild: error: build request timed out in the daemon "
                       "queue\n");
@@ -635,16 +585,14 @@ void BuildDaemon::handleBuildRequest(UnixSocket &Conn,
 
   if (Job->Cancelled) {
     if (!sendOutcome(Conn, failure(Job->CancelText, Job->CancelCode)))
-      Svc.Disconnects.fetch_add(1);
+      countEvent(Event::Disconnects);
     return;
   }
   if (!sendOutcome(Conn, Job->Outcomes[WaiterIdx],
                    Job->ExitFrames[WaiterIdx])) {
     // The client died while its build ran. The build itself completed
     // and its artifacts/state persist — only this fan-out is lost.
-    Svc.Disconnects.fetch_add(1);
-    if (MetricsRegistry *M = CO.Metrics)
-      M->counter("daemon.disconnects").add(1);
+    countEvent(Event::Disconnects);
     chat("scbuildd: client disconnected before its result was delivered\n");
   }
 }

@@ -46,7 +46,8 @@
 ///
 /// Wire protocol (shared with DaemonClient): one request per
 /// connection. Each message is a 4-byte little-endian length followed
-/// by a flat JSON object (see UnixSocket framing). The client sends one
+/// by a JSON object (see UnixSocket framing), written and read by the
+/// field-list codec in support/FlatJson.h. The client sends one
 /// DaemonRequest; the daemon answers with a stream of DaemonFrames —
 /// any number of `out` / `err` text frames (the client copies them to
 /// its stdout/stderr verbatim, which is what makes daemon output
@@ -70,6 +71,7 @@
 #include "support/FileLock.h"
 #include "support/Service.h"
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -90,8 +92,9 @@ class RealFileSystem;
 // Wire messages
 //===----------------------------------------------------------------------===//
 
-/// One client request. Flat-JSON encoded; unknown keys are ignored so
-/// the protocol can grow without breaking older daemons.
+/// One client request. Every key is always written; a decoder reads an
+/// absent key as its default and skips unknown keys, so the protocol
+/// can grow without breaking older daemons.
 struct DaemonRequest {
   /// "build" | "status" | "metrics" | "explain" | "shutdown". The
   /// `metrics` verb answers with one `out` frame holding the registry
@@ -287,7 +290,7 @@ public:
   int serve();
 
   /// Builds served so far (for tests and `status`).
-  uint64_t buildsServed() const { return Svc.BuildsServed.load(); }
+  uint64_t buildsServed() const { return count(Event::BuildsServed); }
 
   /// Snapshot of the service counters (tests, benches).
   DaemonServiceStats serviceStats() const;
@@ -351,18 +354,28 @@ private:
   bool Draining = false;
   std::thread Builder;
 
+  /// A service event, counted in serviceStats() and as its `daemon.*`
+  /// metric (EventMetrics in Daemon.cpp), always both at once.
+  enum class Event {
+    BuildsServed,
+    RequestsServed,
+    Coalesced,
+    BusyRejections,
+    RequestTimeouts,
+    Disconnects,
+    CancelledOnDrain,
+    NumEvents
+  };
+  void countEvent(Event E, uint64_t N = 1);
+  uint64_t count(Event E) const {
+    return Events[static_cast<size_t>(E)].load();
+  }
+
   /// Service counters (atomics: bumped from connection threads and the
   /// builder, read by status from yet other threads).
-  struct {
-    std::atomic<uint64_t> BuildsServed{0};
-    std::atomic<uint64_t> RequestsServed{0};
-    std::atomic<uint64_t> Coalesced{0};
-    std::atomic<uint64_t> BusyRejections{0};
-    std::atomic<uint64_t> RequestTimeouts{0};
-    std::atomic<uint64_t> Disconnects{0};
-    std::atomic<uint64_t> CancelledOnDrain{0};
-    std::atomic<uint32_t> QueueHighWater{0};
-  } Svc;
+  std::array<std::atomic<uint64_t>, static_cast<size_t>(Event::NumEvents)>
+      Events{};
+  std::atomic<uint32_t> QueueHighWater{0};
 
   DaemonFrame LastExit; ///< Exit frame of the most recent build (Mu).
   BuildStats LastStats; ///< Stats of the most recent build (Mu).

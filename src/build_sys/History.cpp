@@ -7,18 +7,16 @@
 #include "build_sys/History.h"
 
 #include "build_sys/BuildFacts.h"
-#include "build_sys/BuildReport.h" // factGroupsJson
 #include "cache_sys/CacheProtocol.h" // hex16
 #include "support/AtomicFile.h"
 #include "support/FlatJson.h"
 #include "support/Hashing.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <optional>
 #include <string_view>
 #include <type_traits>
+#include <utility>
 
 using namespace sc;
 
@@ -38,77 +36,6 @@ void heaviestFirst(std::vector<T> &V, uint64_t T::*Weight,
     return A.*Weight != B.*Weight ? A.*Weight > B.*Weight : A.*Name < B.*Name;
   });
   V.resize(std::min(V.size(), Cap));
-}
-
-//===--- Nested-JSON parsing on top of JsonCursor -------------------------===//
-//
-// Ledger records are nested (objects and arrays of objects), which the
-// flat wire codec deliberately does not cover; these helpers add the
-// recursive cases. Unknown keys are skipped, so records can grow
-// additively without a schema bump.
-
-double parseNumber(JsonCursor &C) {
-  C.ws();
-  const char *Start = C.S.c_str() + C.I;
-  char *End = nullptr;
-  const double V = std::strtod(Start, &End);
-  if (End == Start) {
-    C.Bad = true;
-    return 0;
-  }
-  C.I += static_cast<size_t>(End - Start);
-  return V;
-}
-
-void skipAnyValue(JsonCursor &C);
-
-template <typename Fn> void parseObjectKeys(JsonCursor &C, Fn OnKey) {
-  C.expect('{');
-  if (C.eat('}'))
-    return;
-  do {
-    std::string Key = C.parseString();
-    C.expect(':');
-    if (C.Bad)
-      return;
-    OnKey(Key);
-  } while (!C.Bad && C.eat(','));
-  C.expect('}');
-}
-
-template <typename Fn> void parseArrayElems(JsonCursor &C, Fn OnElem) {
-  C.expect('[');
-  if (C.eat(']'))
-    return;
-  do
-    OnElem();
-  while (!C.Bad && C.eat(','));
-  C.expect(']');
-}
-
-void skipAnyValue(JsonCursor &C) {
-  switch (C.peek()) {
-  case '"':
-    C.parseString();
-    break;
-  case '{':
-    parseObjectKeys(C, [&](const std::string &) { skipAnyValue(C); });
-    break;
-  case '[':
-    parseArrayElems(C, [&] { skipAnyValue(C); });
-    break;
-  case 't':
-  case 'f':
-    C.parseBool();
-    break;
-  default:
-    parseNumber(C);
-  }
-}
-
-uint64_t parseU64Number(JsonCursor &C) {
-  const double V = parseNumber(C);
-  return V > 0 ? static_cast<uint64_t>(V) : 0;
 }
 
 /// Every ledger line opens with this, so a line that does not is
@@ -135,123 +62,99 @@ std::string_view ledgerGroup(std::string_view Group) {
   return Group == "passes" ? "skip" : Group;
 }
 
-/// Whether a record writes fact \p F: always for the facts schema-1
-/// records carried, which readers may index; others only when nonzero
-/// (a missing fact parses as zero), so registry-less records stay small.
-bool writtenInLedger(const BuildFact &F, bool Zero) {
+/// How a record writes fact \p F: always for the facts schema-1
+/// records carried, which readers may index; the others only when
+/// nonzero (a missing fact reads as zero), so registry-less records
+/// stay small.
+JsonField ledgerField(const BuildFact &F) {
   const std::string_view G = F.group();
-  return !Zero || G == "files" || G == "phases_us" || G == "trace" ||
-         F.Path == "success" || F.Path == "read_only";
+  return G == "files" || G == "phases_us" || G == "trace" ||
+                 F.Path == "success" || F.Path == "read_only"
+             ? JsonField::Always
+             : JsonField::Sparse;
 }
 
-// The record's keys besides its facts, and each array element's keys:
-// serializeRecord() and parseRecord() walk the same lists.
-template <class R, class Fn> void forEachRecordField(R &X, Fn Do) {
-  Do("schema_version", X.SchemaVersion);
-  Do("build", X.BuildId);
-  Do("unix_ms", X.UnixMs);
-  Do("dirty", X.DirtyTUs);
-  Do("tus", X.TUs);
-  Do("passes", X.Passes);
-  Do("samples", X.Samples);
-  Do("counters", X.Counters);
-  Do("gauges", X.Gauges);
-  Do("warnings", X.WarningsCount);
+/// Fact member \p V as a record writes it: a time in whole
+/// microseconds. Reading takes the member itself.
+template <class V> decltype(auto) ledgerValue(V &X) {
+  if constexpr (std::is_same_v<V, const double>)
+    return JsonWhole{X};
+  else
+    return (X);
 }
 
-template <class E, class Fn> void forEachElementField(E &X, Fn Do) {
-  using T = std::remove_const_t<E>;
-  if constexpr (std::is_same_v<T, HistoryTU>) {
+/// The facts of one group, which a record nests under the group's
+/// ledger name.
+template <class R> struct LedgerGroup {
+  R &Rec;
+  std::string_view Group;
+};
+
+} // namespace
+
+// The field lists of a ledger line. A record's facts follow its own
+// fields: a top-level fact as a member, a group as one nested object.
+namespace sc {
+
+template <> struct JsonFields<HistoryTU> {
+  template <class R, class Fn> static void walk(R &X, Fn Do) {
     Do("name", X.Name);
     Do("us", X.DurUs);
-  } else if constexpr (std::is_same_v<T, HistoryPass>) {
+  }
+};
+
+template <> struct JsonFields<HistoryPass> {
+  template <class R, class Fn> static void walk(R &X, Fn Do) {
     Do("name", X.Name);
     Do("us", X.DurUs);
     Do("count", X.Count);
-  } else {
+  }
+};
+
+template <> struct JsonFields<HistorySample> {
+  template <class R, class Fn> static void walk(R &X, Fn Do) {
     Do("stack", X.Stack);
     Do("samples", X.Samples);
     Do("weight_ns", X.WeightNs);
   }
-}
+};
 
-template <class T> constexpr bool IsVector = false;
-template <class T> constexpr bool IsVector<std::vector<T>> = true;
-template <class T> constexpr bool IsMap = false;
-template <class T> constexpr bool IsMap<std::map<std::string, T>> = true;
-
-template <class T> void writeJson(std::string &O, const T &V) {
-  if constexpr (std::is_same_v<T, std::string>) {
-    appendJsonString(O, V);
-  } else if constexpr (std::is_integral_v<T>) {
-    O += std::to_string(V);
-  } else if constexpr (std::is_floating_point_v<T>) {
-    char Num[64];
-    std::snprintf(Num, sizeof(Num), "%.10g", V);
-    O += Num;
-  } else if constexpr (IsVector<T>) {
-    O += '[';
-    for (size_t I = 0; I != V.size(); ++I) {
-      if (I)
-        O += ',';
-      writeJson(O, V[I]);
-    }
-    O += ']';
-  } else { // An object: a map's entries or an element's fields.
-    bool First = true;
-    auto Member = [&](const std::string &Key, const auto &X) {
-      O += First ? '{' : ',';
-      First = false;
-      appendJsonString(O, Key);
-      O += ':';
-      writeJson(O, X);
-    };
-    if constexpr (IsMap<T>)
-      for (const auto &KV : V)
-        Member(KV.first, KV.second);
-    else
-      forEachElementField(V, Member);
-    O += First ? "{}" : "}";
-  }
-}
-
-template <class T> void readJson(JsonCursor &C, T &V);
-
-/// Reads the value of \p Key into the member \p Walk names so; false
-/// when no member has that name.
-template <class Walk>
-bool readNamed(JsonCursor &C, const std::string &Key, Walk W) {
-  bool Found = false;
-  W([&](std::string_view Name, auto &M) {
-    if (!Found && Key == Name) {
-      readJson(C, M);
-      Found = true;
-    }
-  });
-  return Found;
-}
-
-template <class T> void readJson(JsonCursor &C, T &V) {
-  if constexpr (std::is_same_v<T, std::string>)
-    V = C.parseString();
-  else if constexpr (std::is_same_v<T, bool>)
-    V = C.parseBool();
-  else if constexpr (std::is_integral_v<T>)
-    V = static_cast<T>(parseU64Number(C));
-  else if constexpr (std::is_floating_point_v<T>)
-    V = parseNumber(C);
-  else if constexpr (IsVector<T>)
-    parseArrayElems(C, [&] { readJson(C, V.emplace_back()); });
-  else if constexpr (IsMap<T>)
-    parseObjectKeys(C, [&](const std::string &K) { readJson(C, V[K]); });
-  else
-    parseObjectKeys(C, [&](const std::string &K) {
-      if (!readNamed(C, K, [&](auto Do) { forEachElementField(V, Do); }))
-        skipAnyValue(C);
+template <class Rec> struct JsonFields<LedgerGroup<Rec>> {
+  template <class G, class Fn> static void walk(G &X, Fn Do) {
+    forEachBuildFact(X.Rec, [&](const BuildFact &F, auto &V) {
+      if (F.group() == X.Group)
+        Do(F.key(), ledgerValue(V), ledgerField(F));
     });
-}
+  }
+};
 
-} // namespace
+template <> struct JsonFields<HistoryRecord> {
+  template <class R, class Fn> static void walk(R &X, Fn Do) {
+    Do("schema_version", X.SchemaVersion);
+    Do("build", X.BuildId);
+    Do("unix_ms", X.UnixMs);
+    Do("dirty", X.DirtyTUs);
+    Do("tus", X.TUs);
+    Do("passes", X.Passes);
+    Do("samples", X.Samples);
+    Do("counters", X.Counters);
+    Do("gauges", X.Gauges);
+    Do("warnings", X.WarningsCount);
+    // Groups are adjacent in the list: a group's first fact stands for
+    // the whole group's object.
+    std::string_view Open;
+    forEachBuildFact(X, [&](const BuildFact &F, auto &V) {
+      if (F.group().empty())
+        Do(F.key(), ledgerValue(V), ledgerField(F));
+      else if (F.group() != std::exchange(Open, F.group()))
+        Do(ledgerGroup(F.group()), LedgerGroup<R>{X, F.group()},
+           JsonField::Sparse);
+    });
+    Do("error", X.ErrorText, JsonField::Sparse);
+  }
+};
+
+} // namespace sc
 
 //===----------------------------------------------------------------------===//
 // Serialization
@@ -259,22 +162,7 @@ template <class T> void readJson(JsonCursor &C, T &V) {
 
 std::string BuildHistory::serializeRecord(const HistoryRecord &R) {
   std::string O(SchemaTag);
-  forEachRecordField(R, [&](const char *Key, const auto &V) {
-    O.append(",\"").append(Key).append("\":");
-    writeJson(O, V);
-  });
-  auto WholeUs = [](double Us) {
-    return std::to_string(static_cast<uint64_t>(Us));
-  };
-  auto Facts = factGroupsJson(R, WholeUs, /*Compact=*/true, writtenInLedger);
-  for (FactGroupJson &G : Facts)
-    G.Name = ledgerGroup(G.Name);
-  O += renderFactGroups(Facts, ",", "", /*Compact=*/true);
-  if (!R.ErrorText.empty()) {
-    O += ",\"error\":";
-    appendJsonString(O, R.ErrorText);
-  }
-
+  writeJsonFields(O, R);
   // Checksum covers every byte emitted so far; the line stays valid
   // JSON so per-line consumers (python3, jq) need no special casing.
   O += ",\"crc\":\"" + hex16(HashBuilder().addString(O).digest()) + "\"}";
@@ -283,38 +171,10 @@ std::string BuildHistory::serializeRecord(const HistoryRecord &R) {
 
 bool BuildHistory::parseRecord(const std::string &Line, HistoryRecord &Out) {
   std::optional<std::string_view> Body = checksummedBody(Line);
-  if (!Body)
+  if (!Body || !Body->starts_with(SchemaTag))
     return false;
-
-  const std::string Doc = std::string(*Body) + "}";
   HistoryRecord R;
-  bool SchemaOK = false;
-  JsonCursor C(Doc);
-  // The facts under ledger key \p Group ("" for top-level facts).
-  auto Facts = [&R](std::string_view Group) {
-    return [&R, Group](auto Do) {
-      forEachBuildFact(R, [&](const BuildFact &F, auto &V) {
-        if (ledgerGroup(F.group()) == Group)
-          Do(F.key(), V);
-      });
-    };
-  };
-  parseObjectKeys(C, [&](const std::string &Key) {
-    if (Key == "schema")
-      SchemaOK = C.parseString() == "scbuild-history";
-    else if (Key == "error")
-      R.ErrorText = C.parseString();
-    else if (!readNamed(C, Key, [&](auto Do) { forEachRecordField(R, Do); })) {
-      if (C.peek() == '{') // A fact group.
-        parseObjectKeys(C, [&](const std::string &K) {
-          if (!readNamed(C, K, Facts(Key)))
-            skipAnyValue(C);
-        });
-      else if (!readNamed(C, Key, Facts("")))
-        skipAnyValue(C);
-    }
-  });
-  if (C.Bad || !SchemaOK)
+  if (!decodeJson(std::string(*Body) + "}", R))
     return false;
   Out = std::move(R);
   return true;
@@ -454,18 +314,10 @@ HistoryRecord sc::makeHistoryRecord(const BuildStats &S,
       Agg.first += E.DurNs / 1000;
       ++Agg.second;
     } else if (Cat == "sample" && E.K == TraceEvent::Kind::Instant) {
+      // SamplingProfiler::stop() writes a sample's args in the
+      // ledger's own shape.
       HistorySample Smp;
-      // Args shape is fixed by SamplingProfiler::stop().
-      parseFlatObject(E.ArgsJson, [&](JsonCursor &C, const std::string &K) {
-        if (K == "stack")
-          Smp.Stack = C.parseString();
-        else if (K == "samples")
-          Smp.Samples = C.parseU64();
-        else if (K == "weight_ns")
-          Smp.WeightNs = C.parseU64();
-        else
-          C.skipValue();
-      });
+      decodeJson(E.ArgsJson, Smp);
       if (!Smp.Stack.empty())
         Samples.push_back(std::move(Smp));
     }

@@ -40,21 +40,13 @@ void CacheDaemon::publishMetrics() {
   std::lock_guard<std::mutex> L(MetricsMu);
   // The store reports lifetime totals; counters are monotonic, so fold
   // in the delta since the last publication.
-  auto Fold = [&](const char *Name, uint64_t Now, uint64_t Last) {
-    if (Now > Last)
-      Metrics.counter(Name).add(Now - Last);
-  };
-  Fold("cache.gets", S.Gets, LastPublished.Gets);
-  Fold("cache.hits", S.Hits, LastPublished.Hits);
-  Fold("cache.misses", S.Misses, LastPublished.Misses);
-  Fold("cache.puts", S.Puts, LastPublished.Puts);
-  Fold("cache.touches", S.Touches, LastPublished.Touches);
-  Fold("cache.evictions", S.Evictions, LastPublished.Evictions);
-  Fold("cache.corrupt_dropped", S.CorruptDropped,
-       LastPublished.CorruptDropped);
-  Metrics.gauge("cache.entries").set(static_cast<double>(S.Entries));
-  Metrics.gauge("cache.bytes_stored").set(static_cast<double>(S.BytesStored));
-  Metrics.gauge("cache.max_bytes").set(static_cast<double>(S.MaxBytes));
+  for (const CacheStatField &F : CacheStatFields) {
+    const uint64_t Now = S.*F.Member, Last = LastPublished.*F.Member;
+    if (!F.Counter)
+      Metrics.gauge(F.Metric).set(static_cast<double>(Now));
+    else if (Now > Last)
+      Metrics.counter(F.Metric).add(Now - Last);
+  }
   LastPublished = S;
 }
 

@@ -10,7 +10,6 @@
 
 #include <algorithm>
 #include <iterator>
-#include <type_traits>
 
 using namespace sc;
 
@@ -59,117 +58,81 @@ namespace {
 constexpr const char *OpNames[] = {"get",   "put",     "touch",
                                    "stats", "metrics", "shutdown"};
 
-/// Calls Do(WireKey, Member) once per CacheStats counter.
-template <class S, class Fn> void forEachCacheStat(S &St, Fn Do) {
-  Do("gets", St.Gets);
-  Do("hits", St.Hits);
-  Do("misses", St.Misses);
-  Do("puts", St.Puts);
-  Do("touches", St.Touches);
-  Do("evictions", St.Evictions);
-  Do("corruptDropped", St.CorruptDropped);
-  Do("entries", St.Entries);
-  Do("bytesStored", St.BytesStored);
-  Do("maxBytes", St.MaxBytes);
-}
-
-// The fields of each message besides its "op" or "ok" head: the one
-// list it is encoded and decoded by.
-template <class R, class Fn> void forEachField(R &X, Fn Do) {
-  if constexpr (std::is_same_v<std::remove_const_t<R>, CacheRequest>) {
-    Do("kind", X.Kind);
-    Do("key", X.Key);
-    Do("digest", X.Digest);
-    Do("size", X.Size);
-  } else {
-    Do("found", X.Found);
-    Do("mask", X.Mask);
-    Do("stored", X.Stored);
-    Do("digest", X.Digest);
-    Do("size", X.Size);
-    Do("error", X.Error);
-    Do("hasStats", X.HasStats);
-    forEachCacheStat(X.Stats, Do);
-    Do("metricsText", X.MetricsText);
-    Do("metricsJson", X.MetricsJson);
-  }
-}
-
-/// Appends every field that is not empty, zero or false; a decoder
-/// reads an absent field as exactly that.
-template <class R> std::string encodeFields(std::string Out, const R &X) {
-  forEachField(X, [&](const char *Key, const auto &V) {
-    using T = std::decay_t<decltype(V)>;
-    if (V == T())
-      return;
-    Out.append(",\"").append(Key).append("\":");
-    if constexpr (std::is_same_v<T, std::string>)
-      appendJsonString(Out, V);
-    else if constexpr (std::is_same_v<T, bool>)
-      Out += "true";
-    else
-      Out += std::to_string(V);
-  });
-  return Out + '}';
-}
-
-/// Reads key \p K into its field of \p X; false for an unknown key.
-template <class R> bool decodeField(JsonCursor &C, const std::string &K, R &X) {
-  bool Known = false;
-  forEachField(X, [&](const char *Key, auto &V) {
-    using T = std::decay_t<decltype(V)>;
-    if (Known || K != Key)
-      return;
-    Known = true;
-    if constexpr (std::is_same_v<T, std::string>)
-      V = C.parseString();
-    else if constexpr (std::is_same_v<T, bool>)
-      V = C.parseBool();
-    else
-      V = C.parseU64();
-  });
-  return Known;
-}
-
 } // namespace
+
+// The fields of each message besides its "op" or "ok" head. Every one
+// is sparse: a peer reads an absent field as empty, zero or false.
+namespace sc {
+
+template <> struct JsonFields<CacheRequest> {
+  template <class R, class Fn> static void walk(R &X, Fn Do) {
+    constexpr JsonField S = JsonField::Sparse;
+    Do("kind", X.Kind, S);
+    Do("key", X.Key, S);
+    Do("digest", X.Digest, S);
+    Do("size", X.Size, S);
+  }
+};
+
+template <> struct JsonFields<CacheResponse> {
+  template <class R, class Fn> static void walk(R &X, Fn Do) {
+    constexpr JsonField S = JsonField::Sparse;
+    Do("found", X.Found, S);
+    Do("mask", X.Mask, S);
+    Do("stored", X.Stored, S);
+    Do("digest", X.Digest, S);
+    Do("size", X.Size, S);
+    Do("error", X.Error, S);
+    Do("hasStats", X.HasStats, S);
+    for (const CacheStatField &F : CacheStatFields)
+      Do(F.Key, X.Stats.*F.Member, S);
+    Do("metricsText", X.MetricsText, S);
+    Do("metricsJson", X.MetricsJson, S);
+  }
+};
+
+} // namespace sc
 
 std::string sc::encodeCacheRequest(const CacheRequest &R) {
   std::string Out = "{\"op\":";
   appendJsonString(Out, OpNames[static_cast<size_t>(R.Operation)]);
-  return encodeFields(std::move(Out), R);
+  writeJsonFields(Out, R);
+  return Out + '}';
 }
 
 bool sc::decodeCacheRequest(const std::string &Json, CacheRequest &R) {
   R = CacheRequest();
   bool GoodOp = false;
-  bool Parsed = parseFlatObject(Json, [&](JsonCursor &C, const std::string &K) {
-    if (K == "op") {
-      const std::string Name = C.parseString();
-      const auto *It = std::find(std::begin(OpNames), std::end(OpNames), Name);
-      GoodOp = It != std::end(OpNames);
-      if (GoodOp)
-        R.Operation = static_cast<CacheRequest::Op>(It - std::begin(OpNames));
-    } else if (!decodeField(C, K, R)) {
+  auto Head = [&](JsonCursor &C, const std::string &K) {
+    if (K != "op") {
       C.skipValue();
+      return;
     }
-  });
-  return Parsed && GoodOp;
+    const std::string Name = C.parseString();
+    const auto *It = std::find(std::begin(OpNames), std::end(OpNames), Name);
+    GoodOp = It != std::end(OpNames);
+    if (GoodOp)
+      R.Operation = static_cast<CacheRequest::Op>(It - std::begin(OpNames));
+  };
+  return decodeJson(Json, R, Head) && GoodOp;
 }
 
 std::string sc::encodeCacheResponse(const CacheResponse &R) {
-  return encodeFields(std::string("{\"ok\":") + (R.Ok ? "true" : "false"), R);
+  std::string Out = std::string("{\"ok\":") + (R.Ok ? "true" : "false");
+  writeJsonFields(Out, R);
+  return Out + '}';
 }
 
 bool sc::decodeCacheResponse(const std::string &Json, CacheResponse &R) {
   R = CacheResponse();
   bool SawOk = false;
-  bool Parsed = parseFlatObject(Json, [&](JsonCursor &C, const std::string &K) {
-    if (K == "ok") {
-      SawOk = true;
-      R.Ok = C.parseBool();
-    } else if (!decodeField(C, K, R)) {
+  auto Head = [&](JsonCursor &C, const std::string &K) {
+    if (K != "ok") {
       C.skipValue();
+      return;
     }
-  });
-  return Parsed && SawOk;
+    SawOk = true;
+    R.Ok = C.parseBool();
+  };
+  return decodeJson(Json, R, Head) && SawOk;
 }

@@ -6,7 +6,7 @@
 ///
 /// \file
 /// The wire protocol between `sccached` (the shared object-cache
-/// daemon) and its clients, on the length-prefixed flat-JSON framing
+/// daemon) and its clients, on the length-prefixed JSON framing
 /// the build daemon uses (support/Socket.h + FlatJson.h). Every message
 /// is one JSON header frame; a `put` request is followed by one binary
 /// frame of object bytes, and a `get` response by one per object found,
@@ -28,8 +28,10 @@
 /// touch also one digest per key); the response's `mask` holds '1'
 /// (found) or '0' per key, and a get's `digest` lists the found digests.
 /// Daemons that predate batching reject `entry` as a bad request.
-/// Decoders skip unknown keys, so the protocol can grow without
-/// breaking older peers.
+/// Messages go through the one field-list codec (support/FlatJson.h):
+/// a field that is empty, zero or false is not written, an absent key
+/// reads as exactly that, and decoders skip unknown keys, nested ones
+/// included, so the protocol can grow without breaking older peers.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -71,6 +73,30 @@ struct CacheStats {
   uint64_t Entries = 0;       ///< live entries (objects + actions).
   uint64_t BytesStored = 0;   ///< live payload bytes.
   uint64_t MaxBytes = 0;      ///< configured budget (0 = unlimited).
+};
+
+/// One CacheStats member, named once: its key in a `stats` response and
+/// its name in the daemon's metrics registry.
+struct CacheStatField {
+  const char *Key;    ///< Wire key: "corruptDropped".
+  const char *Metric; ///< Registry name: "cache.corrupt_dropped".
+  bool Counter;       ///< A lifetime total (counter), else a level (gauge).
+  uint64_t CacheStats::*Member;
+};
+
+/// Every CacheStats member, in wire order.
+inline constexpr CacheStatField CacheStatFields[] = {
+    {"gets", "cache.gets", true, &CacheStats::Gets},
+    {"hits", "cache.hits", true, &CacheStats::Hits},
+    {"misses", "cache.misses", true, &CacheStats::Misses},
+    {"puts", "cache.puts", true, &CacheStats::Puts},
+    {"touches", "cache.touches", true, &CacheStats::Touches},
+    {"evictions", "cache.evictions", true, &CacheStats::Evictions},
+    {"corruptDropped", "cache.corrupt_dropped", true,
+     &CacheStats::CorruptDropped},
+    {"entries", "cache.entries", false, &CacheStats::Entries},
+    {"bytesStored", "cache.bytes_stored", false, &CacheStats::BytesStored},
+    {"maxBytes", "cache.max_bytes", false, &CacheStats::MaxBytes},
 };
 
 /// One client request (the JSON header frame).

@@ -118,7 +118,6 @@ PipelineStats PassPipeline::run(Module &M, AnalysisManager &AM,
                                 PassInstrumentation *PI, bool VerifyEach,
                                 TaskPool *Pool, TraceRecorder *Trace) const {
   PipelineStats Stats;
-  Timers.reset();
 
   // Sampled once: tracing toggles between builds, not mid-pipeline.
   const bool Tracing = Trace && Trace->enabled();
@@ -153,7 +152,6 @@ PipelineStats PassPipeline::run(Module &M, AnalysisManager &AM,
       const size_t Index = Seg.Begin;
       const Entry &E = Entries[Index];
       const std::string Name = passName(Index);
-      Timer &PassTimer = Timers.get(Name);
       PassDecision Reason = PassDecision::RanAlways;
       if (PI && !PI->shouldRunModulePass(Name, Index, M, &Reason)) {
         ++Stats.ModulePassSkips;
@@ -172,7 +170,6 @@ PipelineStats PassPipeline::run(Module &M, AnalysisManager &AM,
       const uint64_t Dur = PassSpan.end();
       if (Changed)
         AM.invalidateAll();
-      PassTimer.addNanos(Dur);
       ++Stats.ModulePassRuns;
       Stats.TotalPassMicros += static_cast<double>(Dur) / 1000.0;
       if (PI)
@@ -202,14 +199,10 @@ PipelineStats PassPipeline::run(Module &M, AnalysisManager &AM,
       AM.purity();
     AM.freezeModuleAnalyses();
 
-    // Resolve names and timers up front: TimerGroup is a map and must
-    // not be mutated from chain tasks.
+    // Resolve names up front, once per segment rather than per chain.
     std::vector<std::string> Names(SegLen);
-    std::vector<Timer *> SegTimers(SegLen);
-    for (size_t P = 0; P != SegLen; ++P) {
+    for (size_t P = 0; P != SegLen; ++P)
       Names[P] = passName(Seg.Begin + P);
-      SegTimers[P] = &Timers.get(Names[P]);
-    }
 
     // Per-slot, per-position accumulators: each participating thread
     // gets a private counter set, merged after the barrier. Integer
@@ -278,7 +271,6 @@ PipelineStats PassPipeline::run(Module &M, AnalysisManager &AM,
         Stats.FunctionPassSkips += SS[P].Skips;
         Stats.FunctionPassChanges += SS[P].Changes;
         Stats.TotalPassMicros += static_cast<double>(SS[P].Nanos) / 1000.0;
-        SegTimers[P]->addNanos(SS[P].Nanos);
       }
   }
   return Stats;

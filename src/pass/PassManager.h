@@ -18,7 +18,6 @@
 
 #include "pass/AnalysisManager.h"
 #include "pass/Pass.h"
-#include "support/Timer.h"
 
 #include <cstdint>
 #include <memory>
@@ -148,9 +147,6 @@ public:
                     bool VerifyEach = false, TaskPool *Pool = nullptr,
                     TraceRecorder *Trace = nullptr) const;
 
-  /// Per-pass accumulated wall-clock time of the last run() call.
-  const TimerGroup &lastRunTimers() const { return Timers; }
-
 private:
   struct Entry {
     std::unique_ptr<FunctionPass> FP;
@@ -158,7 +154,6 @@ private:
   };
 
   std::vector<Entry> Entries;
-  mutable TimerGroup Timers;
 };
 
 } // namespace sc

@@ -1,18 +1,32 @@
-//===- support/FlatJson.h - Flat-JSON wire codec helpers --------*- C++ -*-===//
+//===- support/FlatJson.h - The project's one JSON codec -------*- C++ -*-===//
 //
 // Part of the stateful-compiler project. MIT license.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The hand-rolled flat-JSON codec shared by every socket protocol in
-/// the project (the build daemon `scbuildd` and the object-cache daemon
-/// `sccached`). A wire message is a single-level JSON object whose
-/// values are strings, integers, booleans, or arrays of integers —
-/// enough for the protocols, small enough to hand-roll, and readable
-/// with `socat` when debugging. Decoders built on parseFlatObject()
-/// skip unknown keys, so every protocol can grow without breaking
-/// older peers.
+/// The one JSON codec of the project. The history ledger line, the
+/// `sccached` wire and the `scbuildd` wire are each a struct with a
+/// field list, and the templates below write and read all of them.
+///
+/// A field list is a JsonFields<T> specialization whose
+/// `walk(X, Do)` calls `Do(Key, Member)` once per field, in wire order.
+/// X is const to encode and mutable to decode, so one list serves both
+/// directions. A value is a string, bool, integer, double, vector,
+/// string-keyed map, or a struct with a field list of its own, written
+/// as a nested object. A list also says how each field is written:
+///
+///  * `Do(Key, M)` always writes it;
+///  * `Do(Key, M, JsonField::Sparse)` omits it when it equals `T{}`
+///    (a struct: when it writes no member), so M must default to `T{}`;
+///  * `Do(Key, M, Flag)` writes it when the bool `Flag` is set, and
+///    reading it sets `Flag`.
+///
+/// The compatibility rule every form shares: an absent key reads as
+/// the default (a decoder starts from a default-constructed struct),
+/// and a key the list does not name is skipped, whatever its value
+/// holds, nested objects and arrays included. So a message can gain
+/// fields without breaking older peers.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -21,13 +35,17 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
+#include <map>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace sc {
 
 /// Appends \p S to \p Out as a quoted, escaped JSON string literal.
-inline void appendJsonString(std::string &Out, const std::string &S) {
+inline void appendJsonString(std::string &Out, std::string_view S) {
   Out += '"';
   for (char C : S) {
     switch (C) {
@@ -155,7 +173,8 @@ struct JsonCursor {
     uint64_t V = 0;
     while (I < S.size() && S[I] >= '0' && S[I] <= '9')
       V = V * 10 + static_cast<uint64_t>(S[I++] - '0');
-    return Neg ? -static_cast<int64_t>(V) : static_cast<int64_t>(V);
+    // Negated as unsigned: no overflow, even for INT64_MIN.
+    return static_cast<int64_t>(Neg ? 0 - V : V);
   }
 
   /// Unsigned 64-bit variant (counters, byte sizes); a leading '-'
@@ -183,48 +202,286 @@ struct JsonCursor {
     return false;
   }
 
-  std::vector<int64_t> parseIntArray() {
-    std::vector<int64_t> Out;
-    expect('[');
-    if (eat(']'))
-      return Out;
-    do
-      Out.push_back(parseInt());
-    while (!Bad && eat(','));
-    expect(']');
-    return Out;
+  double parseDouble() {
+    ws();
+    const char *Start = S.c_str() + I;
+    char *End = nullptr;
+    const double V = std::strtod(Start, &End);
+    if (End == Start) {
+      Bad = true;
+      return 0;
+    }
+    I += static_cast<size_t>(End - Start);
+    return V;
   }
 
-  /// Skips one value of any supported shape (for unknown keys).
+  /// Walks an object, calling \p OnKey(Key) once per member to consume
+  /// its value.
+  template <typename Fn> void parseObject(Fn OnKey) {
+    if (!enter('{'))
+      return;
+    if (!eat('}')) {
+      do {
+        std::string Key = parseString();
+        expect(':');
+        if (Bad)
+          break;
+        OnKey(Key);
+      } while (!Bad && eat(','));
+      expect('}');
+    }
+    --Depth;
+  }
+
+  /// Walks an array, calling \p OnElem() once per element to consume it.
+  template <typename Fn> void parseArray(Fn OnElem) {
+    if (!enter('['))
+      return;
+    if (!eat(']')) {
+      do
+        OnElem();
+      while (!Bad && eat(','));
+      expect(']');
+    }
+    --Depth;
+  }
+
+  /// Skips one value of any shape, nested ones included.
   void skipValue() {
-    char C = peek();
-    if (C == '"')
+    switch (peek()) {
+    case '"':
       parseString();
-    else if (C == '[')
-      parseIntArray();
-    else if (C == 't' || C == 'f')
+      break;
+    case '{':
+      parseObject([&](const std::string &) { skipValue(); });
+      break;
+    case '[':
+      parseArray([&] { skipValue(); });
+      break;
+    case 't':
+    case 'f':
       parseBool();
-    else
-      parseInt();
+      break;
+    default:
+      parseDouble();
+    }
+  }
+
+private:
+  /// Nesting cap: a peer cannot make a reader recurse without bound.
+  static constexpr unsigned MaxDepth = 64;
+  unsigned Depth = 0;
+
+  /// Opens a nested value with \p Open; false (and Bad) if absent or
+  /// too deep.
+  bool enter(char Open) {
+    if (Bad || Depth == MaxDepth || !eat(Open)) {
+      Bad = true;
+      return false;
+    }
+    ++Depth;
+    return true;
   }
 };
 
-/// Walks a flat object, invoking \p OnKey(cursor, key) per entry.
-/// Returns false when the document is malformed.
-template <typename Fn> bool parseFlatObject(const std::string &Json, Fn OnKey) {
-  JsonCursor C(Json);
-  C.expect('{');
-  if (!C.eat('}')) {
-    do {
-      std::string Key = C.parseString();
-      C.expect(':');
-      if (C.Bad)
-        break;
-      OnKey(C, Key);
-    } while (!C.Bad && C.eat(','));
-    C.expect('}');
+//===----------------------------------------------------------------------===//
+// Field-list codec
+//===----------------------------------------------------------------------===//
+
+/// How a field list writes one field (see the file comment).
+enum class JsonField { Always, Sparse };
+
+/// The field list of T: a specialization provides
+/// `template <class R, class Fn> static void walk(R &X, Fn Do)`.
+template <class T> struct JsonFields;
+
+/// A double written as its whole part, for values whose fraction is
+/// noise (the ledger's microsecond times); read back as a double. It
+/// compares as the double, so a Sparse 0.4 is written, as 0.
+struct JsonWhole {
+  double V = 0;
+  bool operator==(const JsonWhole &) const = default;
+};
+
+template <class T> void writeJson(std::string &O, const T &V);
+template <class T> void readJson(JsonCursor &C, T &V);
+
+namespace json_detail {
+
+template <class T> constexpr bool IsVector = false;
+template <class T> constexpr bool IsVector<std::vector<T>> = true;
+template <class T> constexpr bool IsMap = false;
+template <class T> constexpr bool IsMap<std::map<std::string, T>> = true;
+/// Written as a nested object by its field list.
+template <class T>
+constexpr bool IsStruct =
+    !std::is_arithmetic_v<T> && !std::is_same_v<T, std::string> &&
+    !std::is_same_v<T, JsonWhole> && !IsVector<T> && !IsMap<T>;
+
+/// The Do of a field list that writes each field as `,"key":value`.
+struct FieldWriter {
+  std::string &O;
+
+  template <class M>
+  void operator()(std::string_view Key, const M &V,
+                  JsonField F = JsonField::Always) const {
+    if constexpr (IsVector<M> || IsMap<M>) {
+      if (F == JsonField::Sparse && V.empty())
+        return;
+    } else if constexpr (!IsStruct<M>) {
+      if (F == JsonField::Sparse && V == M{})
+        return;
+    }
+    const size_t At = O.size();
+    O += ',';
+    appendJsonString(O, Key);
+    O += ':';
+    writeJson(O, V);
+    if constexpr (IsStruct<M>) {
+      if (F == JsonField::Sparse && O.ends_with("{}"))
+        O.resize(At);
+    }
   }
+  template <class M>
+  void operator()(std::string_view Key, const M &V,
+                  const bool &Present) const {
+    if (Present)
+      (*this)(Key, V);
+  }
+};
+
+/// The Do of a field list that reads the value of field \p Key.
+struct FieldReader {
+  JsonCursor &C;
+  std::string_view Key;
+  bool &Found;
+
+  template <class M>
+  void operator()(std::string_view K, M &&V,
+                  JsonField = JsonField::Always) const {
+    if (!Found && K == Key) {
+      readJson(C, V);
+      Found = true;
+    }
+  }
+  template <class M>
+  void operator()(std::string_view K, M &&V, bool &Present) const {
+    if (!Found && K == Key) {
+      readJson(C, V);
+      Found = Present = true;
+    }
+  }
+};
+
+} // namespace json_detail
+
+/// Appends each field of \p X that its list writes, as `,"key":value`:
+/// the members of an object whose opening the caller wrote.
+template <class T> void writeJsonFields(std::string &O, const T &X) {
+  JsonFields<T>::walk(X, json_detail::FieldWriter{O});
+}
+
+template <class T> void writeJson(std::string &O, const T &V) {
+  if constexpr (std::is_same_v<T, std::string>) {
+    appendJsonString(O, V);
+  } else if constexpr (std::is_same_v<T, bool>) {
+    O += V ? "true" : "false";
+  } else if constexpr (std::is_integral_v<T>) {
+    O += std::to_string(V);
+  } else if constexpr (std::is_floating_point_v<T>) {
+    char Num[64];
+    std::snprintf(Num, sizeof(Num), "%.10g", V);
+    O += Num;
+  } else if constexpr (std::is_same_v<T, JsonWhole>) {
+    O += std::to_string(static_cast<uint64_t>(V.V));
+  } else if constexpr (json_detail::IsVector<T>) {
+    O += '[';
+    for (size_t I = 0; I != V.size(); ++I) {
+      if (I)
+        O += ',';
+      writeJson(O, V[I]);
+    }
+    O += ']';
+  } else if constexpr (json_detail::IsMap<T>) {
+    O += '{';
+    for (const auto &[Key, Value] : V) {
+      if (O.back() != '{')
+        O += ',';
+      appendJsonString(O, Key);
+      O += ':';
+      writeJson(O, Value);
+    }
+    O += '}';
+  } else {
+    const size_t At = O.size();
+    writeJsonFields(O, V);
+    if (O.size() == At) {
+      O += "{}";
+    } else {
+      O[At] = '{';
+      O += '}';
+    }
+  }
+}
+
+/// Reads the value of \p Key into the field of \p X that its list
+/// names so; false (nothing consumed) when no field has that name.
+template <class T>
+bool readJsonField(JsonCursor &C, std::string_view Key, T &X) {
+  bool Found = false;
+  JsonFields<T>::walk(X, json_detail::FieldReader{C, Key, Found});
+  return Found;
+}
+
+template <class T> void readJson(JsonCursor &C, T &V) {
+  if constexpr (std::is_same_v<T, std::string>) {
+    V = C.parseString();
+  } else if constexpr (std::is_same_v<T, bool>) {
+    V = C.parseBool();
+  } else if constexpr (std::is_integral_v<T> && std::is_signed_v<T>) {
+    V = static_cast<T>(C.parseInt());
+  } else if constexpr (std::is_integral_v<T>) {
+    V = static_cast<T>(C.parseU64());
+  } else if constexpr (std::is_floating_point_v<T>) {
+    V = C.parseDouble();
+  } else if constexpr (json_detail::IsVector<T>) {
+    V.clear();
+    C.parseArray([&] { readJson(C, V.emplace_back()); });
+  } else if constexpr (json_detail::IsMap<T>) {
+    V.clear();
+    C.parseObject([&](const std::string &K) { readJson(C, V[K]); });
+  } else {
+    C.parseObject([&](const std::string &K) {
+      if (!readJsonField(C, K, V))
+        C.skipValue();
+    });
+  }
+}
+
+/// \p X as one JSON object.
+template <class T> std::string encodeJson(const T &X) {
+  std::string O;
+  writeJson(O, X);
+  return O;
+}
+
+/// Reads the JSON object \p Json into \p X, over X's current values.
+/// A key X's list does not name goes to \p Other(Cursor, Key), which
+/// consumes its value. False when \p Json is malformed.
+template <class T, class Fn>
+bool decodeJson(const std::string &Json, T &X, Fn Other) {
+  JsonCursor C(Json);
+  C.parseObject([&](const std::string &K) {
+    if (!readJsonField(C, K, X))
+      Other(C, K);
+  });
   return !C.Bad;
+}
+
+/// decodeJson() that skips every key X's list does not name.
+template <class T> bool decodeJson(const std::string &Json, T &X) {
+  return decodeJson(Json, X,
+                    [](JsonCursor &C, const std::string &) { C.skipValue(); });
 }
 
 } // namespace sc

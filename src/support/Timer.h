@@ -5,9 +5,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Accumulating wall-clock timers for compile-phase and per-pass timing.
-/// All durations are reported in microseconds (double) for stable
-/// arithmetic when aggregating thousands of short pass executions.
+/// The monotonic clock every timed scope reads (nowNanos(), which
+/// TraceSpan in support/Trace.h builds on) and an accumulating
+/// wall-clock Timer. All durations are reported in microseconds
+/// (double) for stable arithmetic when aggregating many short spans.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -17,8 +18,6 @@
 #include <cassert>
 #include <chrono>
 #include <cstdint>
-#include <map>
-#include <string>
 
 namespace sc {
 
@@ -69,40 +68,6 @@ private:
   uint64_t TotalNs = 0;
   uint64_t StartNs = 0;
   bool Running = false;
-};
-
-/// RAII helper that runs a Timer for the current scope.
-class ScopedTimer {
-public:
-  explicit ScopedTimer(Timer &T) : T(T) { T.start(); }
-  ~ScopedTimer() { T.stop(); }
-
-  ScopedTimer(const ScopedTimer &) = delete;
-  ScopedTimer &operator=(const ScopedTimer &) = delete;
-
-private:
-  Timer &T;
-};
-
-/// Named timer group, e.g. one Timer per compile phase or per pass.
-class TimerGroup {
-public:
-  Timer &get(const std::string &Name) { return Timers[Name]; }
-
-  const std::map<std::string, Timer> &timers() const { return Timers; }
-
-  /// Sum of all member timers, in microseconds.
-  double totalMicros() const {
-    double Sum = 0;
-    for (const auto &[Name, T] : Timers)
-      Sum += T.micros();
-    return Sum;
-  }
-
-  void reset() { Timers.clear(); }
-
-private:
-  std::map<std::string, Timer> Timers;
 };
 
 } // namespace sc

@@ -357,6 +357,43 @@ TEST(Service, ClientDeathMidBuildDoesNotWedgeTheDaemon) {
   H.stopAndJoin();
 }
 
+// A client that left while its request waited in the queue misses its
+// cancellation frames: one disconnect, in the service counters and in
+// the metrics alike, so `status` and `metrics` agree.
+TEST(Service, DeadClientOfATimedOutRequestIsOneDisconnectEverywhere) {
+  MetricsRegistry Metrics;
+  ServiceHarness H;
+  writeProject(H.FS);
+  DaemonConfig Config;
+  Config.RequestTimeoutMs = 150;
+  Config.Build.Compiler.Metrics = &Metrics;
+  ASSERT_TRUE(H.start(std::move(Config)));
+
+  std::thread Warmup([&] { H.request(); });
+  ASSERT_TRUE(H.waitFor([&] { return H.BuildsStarted.load() == 1; }));
+  {
+    std::string Err;
+    UnixSocket Doomed = UnixSocket::connectTo(H.Daemon->socketPath(), &Err);
+    ASSERT_TRUE(Doomed.valid()) << Err;
+    DaemonRequest Req;
+    Req.Verb = "build";
+    Req.Quiet = true;
+    ASSERT_TRUE(Doomed.sendFrame(encodeRequest(Req)));
+    ASSERT_TRUE(H.waitFor(
+        [&] { return H.Daemon->serviceStats().QueueDepth == 1; }));
+    // Scope exit closes the socket while the request is still queued.
+  }
+  ASSERT_TRUE(H.waitFor(
+      [&] { return H.Daemon->serviceStats().Disconnects == 1; }));
+  EXPECT_EQ(H.Daemon->serviceStats().RequestTimeouts, 1u);
+  EXPECT_EQ(H.Daemon->serviceStats().Disconnects,
+            Metrics.counter("daemon.disconnects").value());
+
+  H.open();
+  Warmup.join();
+  H.stopAndJoin();
+}
+
 //===----------------------------------------------------------------------===//
 // Client retry/backoff
 //===----------------------------------------------------------------------===//

@@ -6,9 +6,14 @@
 
 #include "TestUtils.h"
 #include "pass/PassManager.h"
+#include "support/Trace.h"
 #include "transforms/Passes.h"
 
 #include <gtest/gtest.h>
+
+#include <set>
+#include <string>
+#include <string_view>
 
 using namespace sc;
 using namespace sc::test;
@@ -129,16 +134,29 @@ TEST(PassPipeline, ModulePassCallbacks) {
   EXPECT_EQ(RI.Events[0], "mafter:globalopt:changed");
 }
 
-TEST(PassPipeline, TimersAccumulate) {
-  auto M = lowerToIR("fn a() -> int { return 1 + 2; }");
+// Pass timing is the trace's: each executed pass is one `pass` span,
+// and a skipped one is an instant, never a span.
+TEST(PassPipeline, OneSpanPerExecutedPass) {
+  auto M = lowerToIR(R"(
+    fn a() -> int { return 1 + 2; }
+    fn b() -> int { return 3 + 4; }
+  )");
   PassPipeline P;
   P.addFunctionPass(createConstantFoldPass());
   P.addFunctionPass(createDCEPass());
   AnalysisManager AM(*M);
-  P.run(*M, AM);
-  EXPECT_EQ(P.lastRunTimers().timers().size(), 2u);
-  EXPECT_TRUE(P.lastRunTimers().timers().count("constfold"));
-  EXPECT_TRUE(P.lastRunTimers().timers().count("dce"));
+  RecordingInstrumentation RI;
+  RI.SkipSet.insert({"constfold", "a"});
+  TraceRecorder Trace;
+  PipelineStats Stats = P.run(*M, AM, &RI, /*VerifyEach=*/false,
+                              /*Pool=*/nullptr, &Trace);
+  ASSERT_EQ(Stats.FunctionPassRuns, 3u);
+  std::multiset<std::string> Spans;
+  for (const TraceEvent &E : Trace.snapshot())
+    if (std::string_view(E.Category) == "pass" &&
+        E.K == TraceEvent::Kind::Span)
+      Spans.insert(E.Name);
+  EXPECT_EQ(Spans, (std::multiset<std::string>{"constfold", "dce", "dce"}));
 }
 
 TEST(PassPipeline, O2PipelineEndToEnd) {

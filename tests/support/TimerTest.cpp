@@ -44,32 +44,6 @@ TEST(Timer, Accumulate) {
   EXPECT_EQ(A.nanos(), ANanos + B.nanos());
 }
 
-TEST(ScopedTimer, TimesScope) {
-  Timer T;
-  {
-    ScopedTimer S(T);
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  EXPECT_GE(T.millis(), 1.0);
-}
-
-TEST(TimerGroup, NamedTimersAndTotal) {
-  TimerGroup G;
-  {
-    ScopedTimer S(G.get("alpha"));
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  {
-    ScopedTimer S(G.get("beta"));
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  EXPECT_EQ(G.timers().size(), 2u);
-  EXPECT_GE(G.totalMicros(),
-            G.get("alpha").micros()); // Total covers both members.
-  G.reset();
-  EXPECT_TRUE(G.timers().empty());
-}
-
 TEST(Timer, NowNanosMonotonic) {
   uint64_t A = nowNanos();
   uint64_t B = nowNanos();
