@@ -41,16 +41,16 @@ int main() {
     // Measure save/load on the persisted DB (average of several runs).
     const BuildStateDB &DB = Driver.stateDB();
     constexpr int Reps = 20;
-    Timer SaveT, LoadT;
+    uint64_t SaveNs = 0, LoadNs = 0;
     std::string Bytes;
     for (int I = 0; I != Reps; ++I) {
-      SaveT.start();
+      uint64_t T0 = nowNanos();
       Bytes = DB.serialize();
-      SaveT.stop();
+      SaveNs += nowNanos() - T0;
       BuildStateDB Restored;
-      LoadT.start();
+      T0 = nowNanos();
       bool OK = Restored.deserialize(Bytes);
-      LoadT.stop();
+      LoadNs += nowNanos() - T0;
       if (!OK) {
         std::fprintf(stderr, "state round-trip failed\n");
         return 1;
@@ -61,8 +61,8 @@ int main() {
               fmt(S.ObjectBytes / 1024.0, 1),
               fmt(S.StateDBBytes / 1024.0, 1),
               fmtPercent(double(S.StateDBBytes) / double(SourceBytes)),
-              fmt(SaveT.micros() / Reps, 1),
-              fmt(LoadT.micros() / Reps, 1)});
+              fmt(SaveNs / 1000.0 / Reps, 1),
+              fmt(LoadNs / 1000.0 / Reps, 1)});
   }
 
   std::printf("\nState-recording overhead on cold builds (stateful vs "

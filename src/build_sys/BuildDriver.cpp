@@ -35,6 +35,7 @@
 #include <algorithm>
 #include <chrono>
 #include <iterator>
+#include <map>
 #include <optional>
 #include <set>
 #include <utility>
@@ -350,13 +351,26 @@ void BuildDriverImpl::degradeRemote(BuildStats &S, const std::string &Why) {
     trace()->instant("remote", "degrade", "{\"reason\":\"" + Why + "\"}");
 }
 
+const std::string &BuildFact::metric() const {
+  static const std::map<std::string_view, std::string> Names = [] {
+    std::map<std::string_view, std::string> N;
+    const BuildStats Probe;
+    forEachBuildFact(Probe, [&](const BuildFact &F, const auto &) {
+      std::string Name = "build." + std::string(F.Path);
+      std::replace(Name.begin() + 6, Name.end(), '.', '_');
+      N.emplace(F.Path, std::move(Name));
+    });
+    return N;
+  }();
+  return Names.at(Path);
+}
+
 void sc::publishBuildFacts(const BuildStats &S, MetricsRegistry &M) {
   forEachBuildFact(S, [&](const BuildFact &F, const auto &V) {
-    const std::string Name(F.Metric);
     if (F.Kind == FactKind::Counter)
-      M.counter(Name).add(static_cast<uint64_t>(V));
+      M.counter(F.metric()).add(static_cast<uint64_t>(V));
     else
-      M.gauge(Name).set(static_cast<double>(V));
+      M.gauge(F.metric()).set(static_cast<double>(V));
   });
   M.counter("build.builds").add(1);
   M.counter("build.warnings").add(S.Warnings.size());

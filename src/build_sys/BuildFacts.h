@@ -7,9 +7,10 @@
 /// \file
 /// Every scalar per-build fact BuildStats holds, named in one list that
 /// the report, the ledger record, the `build.*` metrics and the daemon
-/// exit frame render from; adding a fact is one line here. Paths and
-/// metric names predate the list and mostly differ (`phases_us.scan` is
-/// `build.scan_us`); see docs/OBSERVABILITY.md.
+/// exit frame render from; adding a fact is one line here. A fact has
+/// one name, its report path; its metric name is derived from the path
+/// (`phases_us.scan` is `build.phases_us_scan`); see
+/// docs/OBSERVABILITY.md.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -18,6 +19,7 @@
 
 #include "build_sys/BuildSystem.h"
 
+#include <string>
 #include <string_view>
 
 namespace sc {
@@ -32,8 +34,7 @@ enum class FactKind {
 };
 
 struct BuildFact {
-  std::string_view Path;   ///< Report and ledger path: "remote.hits".
-  std::string_view Metric; ///< Registry name: "build.remote_hits".
+  std::string_view Path; ///< Report and ledger path: "remote.hits".
   FactKind Kind;
 
   /// "remote" for "remote.hits"; empty for a top-level fact.
@@ -42,6 +43,9 @@ struct BuildFact {
   }
   /// "hits" for "remote.hits".
   std::string_view key() const { return Path.substr(Path.find('.') + 1); }
+  /// Registry name: "build." and the path with '.' as '_'
+  /// ("build.remote_hits"), derived once per fact.
+  const std::string &metric() const;
 };
 
 /// Calls Do(const BuildFact &, Member &) once per fact, in report
@@ -50,56 +54,45 @@ struct BuildFact {
 template <class S, class Fn> void forEachBuildFact(S &St, Fn Do) {
   constexpr FactKind C = FactKind::Counter, G = FactKind::Gauge,
                      T = FactKind::TimeUs;
-  Do({"success", "build.success", G}, St.Success);
-  Do({"read_only", "build.read_only", G}, St.ReadOnly);
-  Do({"files.compiled", "build.files_compiled", C}, St.FilesCompiled);
-  Do({"files.total", "build.files_total", G}, St.FilesTotal);
-  Do({"phases_us.scan", "build.scan_us", T}, St.ScanUs);
-  Do({"phases_us.compile", "build.compile_us", T}, St.CompileUs);
-  Do({"phases_us.link", "build.link_us", T}, St.LinkUs);
-  Do({"phases_us.state_io", "build.state_io_us", T}, St.StateIOUs);
-  Do({"phases_us.total", "build.total_us", T}, St.TotalUs);
-  Do({"compile_phases_us.frontend", "build.compile_frontend_us", T},
-     St.CompilePhases.FrontendUs);
-  Do({"compile_phases_us.middle", "build.compile_middle_us", T},
-     St.CompilePhases.MiddleUs);
-  Do({"compile_phases_us.backend", "build.compile_backend_us", T},
-     St.CompilePhases.BackendUs);
-  Do({"compile_phases_us.state", "build.compile_state_us", T},
-     St.CompilePhases.StateUs);
-  Do({"passes.run", "build.passes_run", C}, St.Skip.PassesRun);
-  Do({"passes.skipped", "build.passes_skipped", C}, St.Skip.PassesSkipped);
-  Do({"passes.functions_matched", "build.functions_matched", C},
-     St.Skip.FunctionsMatched);
-  Do({"passes.functions_refreshed", "build.functions_refreshed", C},
-     St.Skip.FunctionsRefreshed);
-  Do({"passes.functions_reused", "build.functions_reused", C},
-     St.Skip.FunctionsReused);
-  Do({"state.db_bytes", "build.state_db_bytes", G}, St.StateDBBytes);
-  Do({"state.tus_salvaged", "build.state_tus_salvaged", C},
-     St.StateTUsSalvaged);
-  Do({"state.tus_dropped", "build.state_tus_dropped", C}, St.StateTUsDropped);
-  Do({"object_bytes", "build.object_bytes", G}, St.ObjectBytes);
-  Do({"scan.interface_scans", "build.interface_scans", C}, St.InterfaceScans);
-  Do({"scan.cache_hits", "build.scan_cache_hits", C}, St.ScanCacheHits);
-  Do({"scan.sources_read", "build.sources_read", C}, St.SourcesRead);
-  Do({"scan.objects_read", "build.objects_read", C}, St.ObjectsRead);
-  Do({"link.objects_parsed", "build.objects_parsed", C}, St.ObjectsParsed);
-  Do({"temp_files_swept", "build.temp_files_swept", C}, St.TempFilesSwept);
-  Do({"remote.hits", "build.remote_hits", C}, St.RemoteHits);
-  Do({"remote.misses", "build.remote_misses", C}, St.RemoteMisses);
-  Do({"remote.puts", "build.remote_puts", C}, St.RemotePuts);
-  Do({"remote.errors", "build.remote_errors", C}, St.RemoteErrors);
-  Do({"remote.round_trips", "build.remote_round_trips", C},
-     St.RemoteRoundTrips);
-  Do({"deps.tus_checked", "build.deps_tus_checked", C}, St.DepsTUsChecked);
-  Do({"deps.missing", "build.deps_missing", C}, St.DepsMissing);
-  Do({"deps.redundant", "build.deps_redundant", C}, St.DepsRedundant);
-  Do({"trace.events_dropped", "build.trace_events_dropped", C},
-     St.TraceEventsDropped);
-  Do({"history.build_id", "build.build_id", G}, St.BuildId);
-  Do({"history.records_skipped", "build.history_records_skipped", C},
-     St.HistoryRecordsSkipped);
+  Do({"success", G}, St.Success);
+  Do({"read_only", G}, St.ReadOnly);
+  Do({"files.compiled", C}, St.FilesCompiled);
+  Do({"files.total", G}, St.FilesTotal);
+  Do({"phases_us.scan", T}, St.ScanUs);
+  Do({"phases_us.compile", T}, St.CompileUs);
+  Do({"phases_us.link", T}, St.LinkUs);
+  Do({"phases_us.state_io", T}, St.StateIOUs);
+  Do({"phases_us.total", T}, St.TotalUs);
+  Do({"compile_phases_us.frontend", T}, St.CompilePhases.FrontendUs);
+  Do({"compile_phases_us.middle", T}, St.CompilePhases.MiddleUs);
+  Do({"compile_phases_us.backend", T}, St.CompilePhases.BackendUs);
+  Do({"compile_phases_us.state", T}, St.CompilePhases.StateUs);
+  Do({"passes.run", C}, St.Skip.PassesRun);
+  Do({"passes.skipped", C}, St.Skip.PassesSkipped);
+  Do({"passes.functions_matched", C}, St.Skip.FunctionsMatched);
+  Do({"passes.functions_refreshed", C}, St.Skip.FunctionsRefreshed);
+  Do({"passes.functions_reused", C}, St.Skip.FunctionsReused);
+  Do({"state.db_bytes", G}, St.StateDBBytes);
+  Do({"state.tus_salvaged", C}, St.StateTUsSalvaged);
+  Do({"state.tus_dropped", C}, St.StateTUsDropped);
+  Do({"object_bytes", G}, St.ObjectBytes);
+  Do({"scan.interface_scans", C}, St.InterfaceScans);
+  Do({"scan.cache_hits", C}, St.ScanCacheHits);
+  Do({"scan.sources_read", C}, St.SourcesRead);
+  Do({"scan.objects_read", C}, St.ObjectsRead);
+  Do({"link.objects_parsed", C}, St.ObjectsParsed);
+  Do({"temp_files_swept", C}, St.TempFilesSwept);
+  Do({"remote.hits", C}, St.RemoteHits);
+  Do({"remote.misses", C}, St.RemoteMisses);
+  Do({"remote.puts", C}, St.RemotePuts);
+  Do({"remote.errors", C}, St.RemoteErrors);
+  Do({"remote.round_trips", C}, St.RemoteRoundTrips);
+  Do({"deps.tus_checked", C}, St.DepsTUsChecked);
+  Do({"deps.missing", C}, St.DepsMissing);
+  Do({"deps.redundant", C}, St.DepsRedundant);
+  Do({"trace.events_dropped", C}, St.TraceEventsDropped);
+  Do({"history.build_id", G}, St.BuildId);
+  Do({"history.records_skipped", C}, St.HistoryRecordsSkipped);
 }
 
 /// The fact that reads the top-level BuildStats member \p M.

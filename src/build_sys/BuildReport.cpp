@@ -91,7 +91,7 @@ std::string sc::buildReportJson(const BuildStats &S,
     J += "  \"error\": \"" + jsonEscape(S.ErrorText) + "\",\n";
 
   J += "  \"metrics\": ";
-  J += Metrics ? Metrics->toJson() : "{\"counters\":{},\"gauges\":{}}";
+  J += Metrics ? Metrics->toJson() : MetricsRegistry().toJson();
   J += "\n}\n";
   return J;
 }

@@ -170,15 +170,8 @@ bool CacheDaemon::serveLookup(UnixSocket &Conn, const CacheRequest &Req) {
 
 int CacheDaemon::serve() {
   const int Code = run();
-  if (Store) {
-    CacheStats S = Store->stats();
-    chat("sccached: exiting — hits %llu, misses %llu, puts %llu, "
-         "evictions %llu, corrupt dropped %llu\n",
-         static_cast<unsigned long long>(S.Hits),
-         static_cast<unsigned long long>(S.Misses),
-         static_cast<unsigned long long>(S.Puts),
-         static_cast<unsigned long long>(S.Evictions),
-         static_cast<unsigned long long>(S.CorruptDropped));
-  }
+  if (Store)
+    chat("sccached: exiting — %s\n",
+         describeCacheStats(Store->stats()).c_str());
   return Code;
 }

@@ -93,6 +93,16 @@ template <> struct JsonFields<CacheResponse> {
 
 } // namespace sc
 
+std::string sc::describeCacheStats(const CacheStats &S) {
+  std::string Out;
+  for (const CacheStatField &F : CacheStatFields) {
+    if (!Out.empty())
+      Out += ", ";
+    Out += std::string(F.name()) + " " + std::to_string(S.*F.Member);
+  }
+  return Out;
+}
+
 std::string sc::encodeCacheRequest(const CacheRequest &R) {
   std::string Out = "{\"op\":";
   appendJsonString(Out, OpNames[static_cast<size_t>(R.Operation)]);

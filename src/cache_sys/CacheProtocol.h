@@ -40,6 +40,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace sc {
@@ -82,6 +83,10 @@ struct CacheStatField {
   const char *Metric; ///< Registry name: "cache.corrupt_dropped".
   bool Counter;       ///< A lifetime total (counter), else a level (gauge).
   uint64_t CacheStats::*Member;
+
+  /// The metric name without `cache.`: "corrupt_dropped", the stat's
+  /// name in `sccached --stats` (text and `--json`).
+  std::string_view name() const { return std::string_view(Metric).substr(6); }
 };
 
 /// Every CacheStats member, in wire order.
@@ -98,6 +103,10 @@ inline constexpr CacheStatField CacheStatFields[] = {
     {"bytesStored", "cache.bytes_stored", false, &CacheStats::BytesStored},
     {"maxBytes", "cache.max_bytes", false, &CacheStats::MaxBytes},
 };
+
+/// Every stat of \p S as `name value`, comma-separated, in wire order:
+/// the text of `sccached --stats` and of the daemon's exit line.
+std::string describeCacheStats(const CacheStats &S);
 
 /// One client request (the JSON header frame).
 struct CacheRequest {

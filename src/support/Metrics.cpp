@@ -6,9 +6,8 @@
 
 #include "support/Metrics.h"
 
-#include "support/Trace.h" // jsonEscape
+#include "support/FlatJson.h"
 
-#include <cstdio>
 #include <cstdlib>
 
 using namespace sc;
@@ -47,31 +46,28 @@ std::vector<std::pair<std::string, double>> MetricsRegistry::gauges() const {
   return Out;
 }
 
-std::string MetricsRegistry::toJson() const {
-  auto Cs = counters();
-  auto Gs = gauges();
+namespace {
+/// The registry as toJson() writes it.
+struct MetricsSnapshot {
+  std::map<std::string, uint64_t> Counters;
+  std::map<std::string, double> Gauges;
+};
+} // namespace
 
-  std::string Out = "{\"counters\":{";
-  bool First = true;
-  for (const auto &KV : Cs) {
-    if (!First)
-      Out += ",";
-    First = false;
-    Out += "\"" + jsonEscape(KV.first) + "\":" + std::to_string(KV.second);
+namespace sc {
+template <> struct JsonFields<MetricsSnapshot> {
+  template <class R, class Fn> static void walk(R &X, Fn Do) {
+    Do("counters", X.Counters);
+    Do("gauges", X.Gauges);
   }
-  Out += "},\"gauges\":{";
-  First = true;
-  char Num[64];
-  for (const auto &KV : Gs) {
-    if (!First)
-      Out += ",";
-    First = false;
-    std::snprintf(Num, sizeof(Num), "%.6g", KV.second);
-    Out += "\"" + jsonEscape(KV.first) + "\":";
-    Out += Num;
-  }
-  Out += "}}";
-  return Out;
+};
+} // namespace sc
+
+std::string MetricsRegistry::toJson() const {
+  const auto Cs = counters();
+  const auto Gs = gauges();
+  return encodeJson(
+      MetricsSnapshot{{Cs.begin(), Cs.end()}, {Gs.begin(), Gs.end()}});
 }
 
 //===----------------------------------------------------------------------===//
@@ -99,13 +95,10 @@ std::string MetricsTextExporter::render(const MetricsRegistry &R) {
     Out += "# TYPE " + N + " counter\n";
     Out += N + " " + std::to_string(KV.second) + "\n";
   }
-  char Num[64];
   for (const auto &KV : R.gauges()) {
     const std::string N = exportedName(KV.first, /*IsCounter=*/false);
-    Out += "# TYPE " + N + " gauge\n";
-    std::snprintf(Num, sizeof(Num), "%.10g", KV.second);
-    Out += N + " ";
-    Out += Num;
+    Out += "# TYPE " + N + " gauge\n" + N + " ";
+    writeJson(Out, KV.second); // The report's and the ledger's spelling.
     Out += "\n";
   }
   return Out;

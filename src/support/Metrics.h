@@ -75,9 +75,10 @@ public:
   std::vector<std::pair<std::string, uint64_t>> counters() const;
   std::vector<std::pair<std::string, double>> gauges() const;
 
-  /// The registry as one JSON object:
+  /// The registry as one JSON object, written by support/FlatJson.h:
   ///   {"counters":{...},"gauges":{...}}
-  /// Keys are sorted so output is deterministic.
+  /// Keys are sorted so output is deterministic, and a gauge reads as
+  /// in the Prometheus text and the ledger.
   std::string toJson() const;
 
 private:

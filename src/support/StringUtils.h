@@ -5,16 +5,18 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// String helpers shared across the frontend, printers, and the build
-/// system's dependency scanner.
+/// String helpers shared across the frontend, printers, the build
+/// system's dependency scanner and the tools' option parsing.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef SC_SUPPORT_STRINGUTILS_H
 #define SC_SUPPORT_STRINGUTILS_H
 
+#include <charconv>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace sc {
@@ -61,6 +63,20 @@ inline std::string joinStrings(const std::vector<std::string> &Items,
     Out += Items[I];
   }
   return Out;
+}
+
+/// Strict decimal parse for numeric options: digits only, so an empty
+/// string, a sign ("-1"), trailing junk ("4x") or a value \p T cannot
+/// hold is false, and \p Out keeps its value.
+template <class T> bool parseDecimal(std::string_view Text, T &Out) {
+  static_assert(std::is_unsigned_v<T>, "an option value has no sign");
+  const char *End = Text.data() + Text.size();
+  T V = 0;
+  const auto [Stop, Err] = std::from_chars(Text.data(), End, V);
+  if (Err != std::errc() || Stop != End)
+    return false;
+  Out = V;
+  return true;
 }
 
 } // namespace sc

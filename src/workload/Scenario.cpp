@@ -7,6 +7,7 @@
 #include "workload/Scenario.h"
 
 #include "build_sys/Manifest.h"
+#include "support/StringUtils.h"
 #include "support/Trace.h" // jsonEscape
 
 #include <algorithm>
@@ -102,15 +103,6 @@ bool allDigits(const std::string &S) {
   return true;
 }
 
-bool parseU64(const std::string &S, uint64_t &Out) {
-  if (!allDigits(S) || S.size() > 19)
-    return false;
-  Out = 0;
-  for (char C : S)
-    Out = Out * 10 + static_cast<uint64_t>(C - '0');
-  return true;
-}
-
 std::vector<std::string> splitTokens(const std::string &Line) {
   std::vector<std::string> Tokens;
   std::istringstream In(Line);
@@ -147,7 +139,7 @@ bool parseNodeTokens(const std::vector<std::string> &Tokens, size_t Start,
     std::string Key = Tok.substr(0, Eq), Val = Tok.substr(Eq + 1);
     uint64_t V = 0;
     if (Key == "count") {
-      if (!parseU64(Val, V) || V < 1 || V > 1000) {
+      if (!parseDecimal(Val, V) || V < 1 || V > 1000) {
         Error = "count must be an integer in [1, 1000], got '" + Val + "'";
         return false;
       }
@@ -157,7 +149,7 @@ bool parseNodeTokens(const std::vector<std::string> &Tokens, size_t Start,
         Error = "option 'percent' only applies to branch-switch";
         return false;
       }
-      if (!parseU64(Val, V) || V < 1 || V > 100) {
+      if (!parseDecimal(Val, V) || V < 1 || V > 100) {
         Error = "percent must be an integer in [1, 100], got '" + Val + "'";
         return false;
       }
@@ -235,7 +227,7 @@ bool ScenarioParser::parse(const std::string &Text, Scenario &Out,
       if (!Choice)
         return fail(LineNo, "weighted line outside a choice: block");
       uint64_t W = 0;
-      if (!parseU64(Head, W) || W < 1 || W > 1000)
+      if (!parseDecimal(Head, W) || W < 1 || W > 1000)
         return fail(LineNo, "choice weight must be an integer in [1, 1000]");
       if (Tokens.size() < 2)
         return fail(LineNo, "choice child needs a node after the weight");
@@ -260,7 +252,7 @@ bool ScenarioParser::parse(const std::string &Text, Scenario &Out,
                                   "' (known: " + knownProfileNames() + ")");
         S.Profile = Tokens[1];
       } else {
-        if (!parseU64(Tokens[1], S.Seed))
+        if (!parseDecimal(Tokens[1], S.Seed))
           return fail(LineNo, "seed must be a non-negative integer, got '" +
                                   Tokens[1] + "'");
       }
@@ -279,7 +271,7 @@ bool ScenarioParser::parse(const std::string &Text, Scenario &Out,
         size_t Eq = Tok.find('=');
         uint64_t V = 0;
         if (Eq != std::string::npos && Tok.substr(0, Eq) == "repeat") {
-          if (!parseU64(Tok.substr(Eq + 1), V) || V < 1 || V > 1000)
+          if (!parseDecimal(Tok.substr(Eq + 1), V) || V < 1 || V > 1000)
             return fail(LineNo, "repeat must be an integer in [1, 1000]");
           Ph.Repeat = static_cast<unsigned>(V);
         } else {

@@ -94,8 +94,8 @@ TEST(BuildFacts, PathsAndMetricNamesAreUniqueAndGroupsAdjacent) {
   std::string_view Open;
   forEachBuildFact(S, [&](const BuildFact &F, const auto &) {
     EXPECT_TRUE(Paths.insert(F.Path).second) << F.Path;
-    EXPECT_TRUE(Metrics.insert(F.Metric).second) << F.Metric;
-    EXPECT_EQ(F.Metric.substr(0, 6), "build.") << F.Metric;
+    EXPECT_TRUE(Metrics.insert(F.metric()).second) << F.metric();
+    EXPECT_EQ(F.metric().substr(0, 6), "build.") << F.metric();
     if (F.group() != Open) {
       ClosedGroups.insert(Open);
       Open = F.group();
@@ -155,7 +155,7 @@ TEST(BuildFacts, EveryFactLandsUnderItsMetricName) {
   for (const auto &KV : M.gauges())
     Gauges.insert(KV.first);
   forEachBuildFact(S, [&](const BuildFact &F, const auto &V) {
-    const std::string Name(F.Metric);
+    const std::string Name(F.metric());
     if (F.Kind == FactKind::Counter) {
       EXPECT_TRUE(Counters.count(Name)) << Name;
       EXPECT_EQ(M.counter(Name).value(), static_cast<uint64_t>(V)) << Name;

@@ -165,7 +165,7 @@ TEST(BuildTelemetry, MetricsAndReportDescribeTheBuild) {
   EXPECT_EQ(Metrics.counter("build.files_compiled").value(), 3u);
   EXPECT_DOUBLE_EQ(Metrics.gauge("build.files_total").value(), 3.0);
   EXPECT_GT(Metrics.counter("build.passes_run").value(), 0u);
-  EXPECT_GT(Metrics.gauge("build.total_us").value(), 0.0);
+  EXPECT_GT(Metrics.gauge("build.phases_us_total").value(), 0.0);
 
   const std::string Report = buildReportJson(S, &Metrics);
   EXPECT_NE(Report.find("\"schema\": \"scbuild-report\""), std::string::npos);

@@ -391,9 +391,10 @@ TEST(HistoryFaults, StickyEnospcNeverFailsTheBuild) {
     // none.
     EXPECT_TRUE(S.Success) << "ENOSPC from write " << Nth
                            << " failed the build: " << S.ErrorText;
-    if (S.BuildId == 0)
+    if (S.BuildId == 0) {
       EXPECT_FALSE(S.Warnings.empty())
           << "silent ledger append failure at write " << Nth;
+    }
 
     // The disk "recovers"; the next build must append normally and the
     // ledger must load clean.

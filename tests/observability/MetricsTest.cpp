@@ -4,9 +4,10 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "build_sys/BuildReport.h"
+#include "build_sys/History.h"
 #include "driver/Compiler.h"
 #include "support/Metrics.h"
-#include "support/Timer.h"
 
 #include <gtest/gtest.h>
 
@@ -83,18 +84,27 @@ TEST(MetricsRegistry, ToJsonSortedAndWellFormed) {
   EXPECT_NE(J.find("1.5"), std::string::npos);
 }
 
-//===--- Timer / PhaseTimings merge arithmetic ----------------------------===//
-
-TEST(TimerArithmetic, AccumulateAndAddNanos) {
-  Timer A, B;
-  A.addNanos(1500);
-  B.addNanos(500);
-  A.accumulate(B);
-  EXPECT_EQ(A.nanos(), 2000u);
-  EXPECT_DOUBLE_EQ(A.micros(), 2.0);
-  A.reset();
-  EXPECT_EQ(A.nanos(), 0u);
+// A gauge has one spelling in every rendering: the registry JSON (the
+// report's "metrics" and `sccached --stats --json`), the Prometheus
+// text and the ledger record. Seven significant digits tell a short
+// rendering apart.
+TEST(MetricsRegistry, GaugeReadsTheSameInEveryRendering) {
+  MetricsRegistry M;
+  M.gauge("cache.bytes_stored").set(1234567.5);
+  const std::string Json = "\"cache.bytes_stored\":1234567.5";
+  EXPECT_NE(M.toJson().find(Json), std::string::npos) << M.toJson();
+  const std::string Report = buildReportJson(BuildStats(), &M);
+  EXPECT_NE(Report.find(Json), std::string::npos) << Report;
+  const std::string Prom = MetricsTextExporter::render(M);
+  EXPECT_NE(Prom.find("\nscbuild_cache_bytes_stored 1234567.5\n"),
+            std::string::npos)
+      << Prom;
+  const std::string Ledger = BuildHistory::serializeRecord(
+      makeHistoryRecord(BuildStats(), &M, {}, 0, 0));
+  EXPECT_NE(Ledger.find(Json), std::string::npos) << Ledger;
 }
+
+//===--- PhaseTimings merge arithmetic ------------------------------------===//
 
 TEST(PhaseTimings, AccumulateSumsEveryPhase) {
   PhaseTimings A, B;
@@ -149,23 +159,4 @@ TEST(PhaseTimings, ConcurrentPerWorkerMergeMatchesSerialSum) {
   EXPECT_DOUBLE_EQ(Forward.StateUs, N * 0.125);
   EXPECT_DOUBLE_EQ(Forward.totalUs(), Backward.totalUs());
   EXPECT_DOUBLE_EQ(Forward.FrontendUs, Backward.FrontendUs);
-}
-
-TEST(TimerArithmetic, ConcurrentTimerAccumulationViaLocalMerge) {
-  // Timers are not internally synchronized; the supported concurrent
-  // pattern is thread-local accumulation + a single-threaded fold.
-  constexpr int Threads = 4, PerThread = 2500;
-  std::vector<Timer> Locals(Threads);
-  std::vector<std::thread> Pool;
-  for (int T = 0; T < Threads; ++T)
-    Pool.emplace_back([&Locals, T] {
-      for (int I = 0; I < PerThread; ++I)
-        Locals[T].addNanos(1000);
-    });
-  for (std::thread &T : Pool)
-    T.join();
-  Timer Total;
-  for (const Timer &L : Locals)
-    Total.accumulate(L);
-  EXPECT_EQ(Total.nanos(), uint64_t(Threads) * PerThread * 1000u);
 }

@@ -219,6 +219,17 @@ for BAD in abc 4x -- -1; do
 done
 "$SCBUILD" . -j 0 --quiet || { echo "FAIL: -j 0 must clamp to 1"; exit 1; }
 
+# The hidden --lock-timeout-ms takes the same strict parse: -1 is an
+# error, not a wait of 4294967295 ms.
+set +e
+"$SCBUILD" . --lock-timeout-ms -1 --quiet 2>lterr.log
+RC=$?
+set -e
+[ "$RC" -eq 1 ] || { echo "FAIL: --lock-timeout-ms -1 exited $RC"; exit 1; }
+grep -q "requires a non-negative integer" lterr.log || {
+  echo "FAIL: --lock-timeout-ms -1 diagnostic wrong: $(cat lterr.log)"
+  exit 1; }
+
 # scc resolves imports relative to the importing file's directory, so
 # compiling from a sibling directory (or anywhere else) works.
 mkdir -p sub
@@ -535,6 +546,10 @@ done
 "$SCBUILD" fleet daemon-top > top.log
 grep -q "queue depth" top.log || {
   echo "FAIL: daemon-top missing queue depth"; cat top.log; exit 1; }
+# Its cache lines read build.* samples under their derived names; a
+# stale name would make the scan-cache line silently disappear.
+grep -q "scan cache:" top.log || {
+  echo "FAIL: daemon-top missing scan cache"; cat top.log; exit 1; }
 
 "$SCBUILD" fleet --daemon-shutdown
 wait "$DAEMON_PID" || { echo "FAIL: daemon exited nonzero"; exit 1; }

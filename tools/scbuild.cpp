@@ -71,6 +71,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "build_sys/Analyze.h"
+#include "build_sys/BuildFacts.h"
 #include "build_sys/BuildReport.h"
 #include "build_sys/BuildSystem.h"
 #include "build_sys/Daemon.h"
@@ -79,6 +80,7 @@
 #include "support/FaultyFileSystem.h"
 #include "support/FileSystem.h"
 #include "support/Metrics.h"
+#include "support/StringUtils.h"
 #include "support/Trace.h"
 #include "vm/VM.h"
 
@@ -99,40 +101,6 @@
 using namespace sc;
 
 namespace {
-
-/// Strict decimal parse for numeric options. Rejects empty strings,
-/// signs, and trailing junk ("4x"), which strtoul would quietly accept.
-bool parseUnsigned(const char *Text, unsigned &Out) {
-  if (!*Text)
-    return false;
-  unsigned long V = 0;
-  for (const char *P = Text; *P; ++P) {
-    if (*P < '0' || *P > '9')
-      return false;
-    V = V * 10 + static_cast<unsigned long>(*P - '0');
-    if (V > 0xffffffffUL)
-      return false;
-  }
-  Out = static_cast<unsigned>(V);
-  return true;
-}
-
-/// Same contract for 64-bit values (build ids).
-bool parseU64Arg(const char *Text, uint64_t &Out) {
-  if (!*Text)
-    return false;
-  uint64_t V = 0;
-  for (const char *P = Text; *P; ++P) {
-    if (*P < '0' || *P > '9')
-      return false;
-    uint64_t Next = V * 10 + static_cast<uint64_t>(*P - '0');
-    if (Next < V)
-      return false; // Overflow.
-    V = Next;
-  }
-  Out = V;
-  return true;
-}
 
 /// Launches `scbuildd` (found next to this executable) detached, with
 /// its stdio under <dir>/out/.daemon.log, then waits for the socket to
@@ -215,7 +183,7 @@ int main(int argc, char **argv) {
   std::string TraceOut, ReportOut, ExplainQ, RemoteCache;
   std::string Command; // "analyze" | "daemon-top" | "" (build).
   std::string BuildIdText, AgainstIdText, TopText;
-  std::string HistoryLimitText, SampleHzText;
+  std::string HistoryLimitText, SampleHzText, LockTimeoutText;
   bool AnalyzeJson = false, Watch = false;
   std::vector<int64_t> RunArgs;
   std::vector<std::string> FaultSpecs; // Hidden --inject-fault op:N.
@@ -257,7 +225,9 @@ int main(int argc, char **argv) {
         FlagValue(Arg, "--against", I, AgainstIdText) ||
         FlagValue(Arg, "--top", I, TopText) ||
         FlagValue(Arg, "--history-limit", I, HistoryLimitText) ||
-        FlagValue(Arg, "--profile-sample-hz", I, SampleHzText))
+        FlagValue(Arg, "--profile-sample-hz", I, SampleHzText) ||
+        // Hidden: shorten the advisory-lock wait (tests/repros).
+        FlagValue(Arg, "--lock-timeout-ms", I, LockTimeoutText))
       continue;
     if (Arg == "-O0")
       Options.Compiler.Opt = OptLevel::O0;
@@ -271,7 +241,7 @@ int main(int argc, char **argv) {
         return 1;
       }
       unsigned Jobs = 0;
-      if (!parseUnsigned(argv[++I], Jobs)) {
+      if (!parseDecimal(argv[++I], Jobs)) {
         std::fprintf(stderr,
                      "scbuild: error: option '-j' requires a positive "
                      "integer (got '%s')\n",
@@ -320,16 +290,6 @@ int main(int argc, char **argv) {
         return 1;
       }
       FaultSpecs.push_back(argv[++I]);
-    } else if (Arg == "--lock-timeout-ms") {
-      // Hidden: shorten the advisory-lock wait (tests/repros).
-      if (I + 1 >= argc) {
-        std::fprintf(
-            stderr,
-            "scbuild: error: option '--lock-timeout-ms' requires a value\n");
-        return 1;
-      }
-      Options.LockTimeoutMs = static_cast<unsigned>(
-          std::strtoul(argv[++I], nullptr, 10));
     } else if (Arg == "--help" || Arg == "-h") {
       std::fprintf(stderr,
                    "usage: scbuild [dir] [-O0|-O1|-O2] [-j N] "
@@ -359,23 +319,8 @@ int main(int argc, char **argv) {
   if (ArgError)
     return 1;
 
-  auto ParseU64Flag = [](const std::string &Text, const char *Flag,
-                         uint64_t &Out) {
-    if (Text.empty())
-      return true;
-    if (parseU64Arg(Text.c_str(), Out))
-      return true;
-    std::fprintf(stderr,
-                 "scbuild: error: option '%s' requires a non-negative "
-                 "integer (got '%s')\n",
-                 Flag, Text.c_str());
-    return false;
-  };
-  auto ParseU32Flag = [](const std::string &Text, const char *Flag,
-                         unsigned &Out) {
-    if (Text.empty())
-      return true;
-    if (parseUnsigned(Text.c_str(), Out))
+  auto ParseFlag = [](const std::string &Text, const char *Flag, auto &Out) {
+    if (Text.empty() || parseDecimal(Text, Out))
       return true;
     std::fprintf(stderr,
                  "scbuild: error: option '%s' requires a non-negative "
@@ -385,13 +330,13 @@ int main(int argc, char **argv) {
   };
   uint64_t AnalyzeBuildId = 0, AnalyzeAgainstId = 0;
   unsigned AnalyzeTop = 5;
-  if (!ParseU64Flag(BuildIdText, "--build", AnalyzeBuildId) ||
-      !ParseU64Flag(AgainstIdText, "--against", AnalyzeAgainstId) ||
-      !ParseU32Flag(TopText, "--top", AnalyzeTop) ||
-      !ParseU32Flag(HistoryLimitText, "--history-limit",
-                    Options.HistoryLimit) ||
-      !ParseU32Flag(SampleHzText, "--profile-sample-hz",
-                    Options.ProfileSampleHz))
+  if (!ParseFlag(BuildIdText, "--build", AnalyzeBuildId) ||
+      !ParseFlag(AgainstIdText, "--against", AnalyzeAgainstId) ||
+      !ParseFlag(TopText, "--top", AnalyzeTop) ||
+      !ParseFlag(HistoryLimitText, "--history-limit", Options.HistoryLimit) ||
+      !ParseFlag(SampleHzText, "--profile-sample-hz",
+                 Options.ProfileSampleHz) ||
+      !ParseFlag(LockTimeoutText, "--lock-timeout-ms", Options.LockTimeoutMs))
     return 1;
 
   //===--- analyze: offline report over the history ledger ----------------===//
@@ -458,11 +403,16 @@ int main(int argc, char **argv) {
         return 1;
       }
       const auto Samples = MetricsTextExporter::parse(MetricsText);
-      auto Sample = [&](const char *Name) -> double {
+      auto Sample = [&](const std::string &Name) -> double {
         for (const auto &P : Samples)
           if (P.first == Name)
             return P.second;
         return 0.0;
+      };
+      auto FactSample = [&](auto Member) {
+        const BuildFact F = buildFactOf(Member);
+        return Sample(MetricsTextExporter::exportedName(
+            F.metric(), F.Kind == FactKind::Counter));
       };
       auto Pct = [](double Part, double Whole) -> double {
         return Whole > 0.0 ? 100.0 * Part / Whole : 0.0;
@@ -472,10 +422,10 @@ int main(int argc, char **argv) {
       const double Busy = Sample("scbuild_daemon_busy_rejections_total");
       const double Timeouts = Sample("scbuild_daemon_request_timeouts_total");
       const double Disc = Sample("scbuild_daemon_disconnects_total");
-      const double RHits = Sample("scbuild_build_remote_hits_total");
-      const double RMisses = Sample("scbuild_build_remote_misses_total");
-      const double Scans = Sample("scbuild_build_interface_scans_total");
-      const double ScanHits = Sample("scbuild_build_scan_cache_hits_total");
+      const double RHits = FactSample(&BuildStats::RemoteHits);
+      const double RMisses = FactSample(&BuildStats::RemoteMisses);
+      const double Scans = FactSample(&BuildStats::InterfaceScans);
+      const double ScanHits = FactSample(&BuildStats::ScanCacheHits);
 
       std::string Top;
       if (Watch)

@@ -53,6 +53,7 @@
 #include "build_sys/Daemon.h"
 #include "support/FileSystem.h"
 #include "support/Metrics.h"
+#include "support/StringUtils.h"
 #include "support/Trace.h"
 
 #include <cstdio>
@@ -64,23 +65,6 @@
 #include <unistd.h>
 
 using namespace sc;
-
-namespace {
-bool parseUnsigned(const char *Text, unsigned &Out) {
-  if (!*Text)
-    return false;
-  unsigned long V = 0;
-  for (const char *P = Text; *P; ++P) {
-    if (*P < '0' || *P > '9')
-      return false;
-    V = V * 10 + static_cast<unsigned long>(*P - '0');
-    if (V > 0xffffffffUL)
-      return false;
-  }
-  Out = static_cast<unsigned>(V);
-  return true;
-}
-} // namespace
 
 int main(int argc, char **argv) {
   std::string Dir = ".";
@@ -135,7 +119,7 @@ int main(int argc, char **argv) {
         return 1;
       }
       unsigned Jobs = 0;
-      if (!parseUnsigned(argv[++I], Jobs)) {
+      if (!parseDecimal(argv[++I], Jobs)) {
         std::fprintf(stderr,
                      "scbuildd: error: option '-j' requires a positive "
                      "integer (got '%s')\n",
@@ -173,9 +157,7 @@ int main(int argc, char **argv) {
     return 1;
   auto ParseMsFlag = [](const std::string &Text, const char *Flag,
                         unsigned &Out) {
-    if (Text.empty())
-      return true;
-    if (parseUnsigned(Text.c_str(), Out))
+    if (Text.empty() || parseDecimal(Text, Out))
       return true;
     std::fprintf(stderr,
                  "scbuildd: error: option '%s' requires a "

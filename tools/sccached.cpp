@@ -36,6 +36,7 @@
 #include "cache_sys/CacheDaemon.h"
 #include "cache_sys/RemoteCacheClient.h"
 #include "support/FileSystem.h"
+#include "support/StringUtils.h"
 
 #include <cstdint>
 #include <cstdio>
@@ -44,27 +45,10 @@
 
 using namespace sc;
 
-namespace {
-bool parseU64(const char *Text, uint64_t &Out) {
-  if (!*Text)
-    return false;
-  uint64_t V = 0;
-  for (const char *P = Text; *P; ++P) {
-    if (*P < '0' || *P > '9')
-      return false;
-    uint64_t Next = V * 10 + static_cast<uint64_t>(*P - '0');
-    if (Next < V)
-      return false; // Overflow.
-    V = Next;
-  }
-  Out = V;
-  return true;
-}
-} // namespace
-
 int main(int argc, char **argv) {
   std::string Socket, CacheDir, MetricsOut;
-  uint64_t MaxBytes = 0, IdleMs = 0;
+  uint64_t MaxBytes = 0;
+  unsigned IdleMs = 0;
   bool Quiet = false, Stats = false, Shutdown = false;
   bool Json = false, Metrics = false;
 
@@ -127,20 +111,18 @@ int main(int argc, char **argv) {
     std::fprintf(stderr, "sccached: error: --socket=PATH is required\n");
     return 1;
   }
-  if (!MaxBytesText.empty() && !parseU64(MaxBytesText.c_str(), MaxBytes)) {
+  auto ParseFlag = [](const std::string &Text, const char *Flag, auto &Out) {
+    if (Text.empty() || parseDecimal(Text, Out))
+      return true;
     std::fprintf(stderr,
-                 "sccached: error: option '--max-bytes' requires a "
-                 "non-negative integer (got '%s')\n",
-                 MaxBytesText.c_str());
+                 "sccached: error: option '%s' requires a non-negative "
+                 "integer (got '%s')\n",
+                 Flag, Text.c_str());
+    return false;
+  };
+  if (!ParseFlag(MaxBytesText, "--max-bytes", MaxBytes) ||
+      !ParseFlag(IdleText, "--idle-timeout-ms", IdleMs))
     return 1;
-  }
-  if (!IdleText.empty() && !parseU64(IdleText.c_str(), IdleMs)) {
-    std::fprintf(stderr,
-                 "sccached: error: option '--idle-timeout-ms' requires a "
-                 "non-negative integer (got '%s')\n",
-                 IdleText.c_str());
-    return 1;
-  }
 
   //===--- Client modes ---------------------------------------------------===//
 
@@ -190,41 +172,14 @@ int main(int argc, char **argv) {
         std::fprintf(stderr, "sccached: error: metrics request failed\n");
         return 1;
       }
-      std::printf("{\n  \"schema\": \"sccached-stats\",\n"
-                  "  \"schema_version\": 1,\n"
-                  "  \"entries\": %llu,\n  \"bytes_stored\": %llu,\n"
-                  "  \"max_bytes\": %llu,\n  \"gets\": %llu,\n"
-                  "  \"hits\": %llu,\n  \"misses\": %llu,\n"
-                  "  \"puts\": %llu,\n  \"touches\": %llu,\n"
-                  "  \"evictions\": %llu,\n  \"corrupt_dropped\": %llu,\n"
-                  "  \"metrics\": %s\n}\n",
-                  static_cast<unsigned long long>(CS.Entries),
-                  static_cast<unsigned long long>(CS.BytesStored),
-                  static_cast<unsigned long long>(CS.MaxBytes),
-                  static_cast<unsigned long long>(CS.Gets),
-                  static_cast<unsigned long long>(CS.Hits),
-                  static_cast<unsigned long long>(CS.Misses),
-                  static_cast<unsigned long long>(CS.Puts),
-                  static_cast<unsigned long long>(CS.Touches),
-                  static_cast<unsigned long long>(CS.Evictions),
-                  static_cast<unsigned long long>(CS.CorruptDropped),
-                  MetricsJson.c_str());
+      std::string Doc = "{\"schema\":\"sccached-stats\",\"schema_version\":1";
+      for (const CacheStatField &F : CacheStatFields)
+        Doc += ",\"" + std::string(F.name()) +
+               "\":" + std::to_string(CS.*F.Member);
+      std::printf("%s,\"metrics\":%s}\n", Doc.c_str(), MetricsJson.c_str());
       return 0;
     }
-    std::printf("sccached: entries %llu, bytes %llu (budget %llu)\n"
-                "sccached: gets %llu (hits %llu, misses %llu), puts %llu, "
-                "touches %llu\n"
-                "sccached: evictions %llu, corrupt dropped %llu\n",
-                static_cast<unsigned long long>(CS.Entries),
-                static_cast<unsigned long long>(CS.BytesStored),
-                static_cast<unsigned long long>(CS.MaxBytes),
-                static_cast<unsigned long long>(CS.Gets),
-                static_cast<unsigned long long>(CS.Hits),
-                static_cast<unsigned long long>(CS.Misses),
-                static_cast<unsigned long long>(CS.Puts),
-                static_cast<unsigned long long>(CS.Touches),
-                static_cast<unsigned long long>(CS.Evictions),
-                static_cast<unsigned long long>(CS.CorruptDropped));
+    std::printf("sccached: %s\n", describeCacheStats(CS).c_str());
     return 0;
   }
 
@@ -245,7 +200,7 @@ int main(int argc, char **argv) {
   Config.SocketPath = Socket;
   Config.CacheRoot = "cache";
   Config.MaxBytes = MaxBytes;
-  Config.IdleTimeoutMs = static_cast<unsigned>(IdleMs);
+  Config.IdleTimeoutMs = IdleMs;
   Config.MetricsOut = MetricsOut;
   Config.Quiet = Quiet;
 

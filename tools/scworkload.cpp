@@ -39,6 +39,7 @@
 #include "build_sys/Daemon.h"
 #include "build_sys/DaemonClient.h"
 #include "support/FileSystem.h"
+#include "support/StringUtils.h"
 #include "workload/Scenario.h"
 
 #include <cstdio>
@@ -49,21 +50,6 @@
 using namespace sc;
 
 namespace {
-
-bool parseUnsigned(const char *Text, unsigned &Out) {
-  if (!*Text)
-    return false;
-  unsigned long V = 0;
-  for (const char *P = Text; *P; ++P) {
-    if (*P < '0' || *P > '9')
-      return false;
-    V = V * 10 + static_cast<unsigned long>(*P - '0');
-    if (V > 0xffffffffUL)
-      return false;
-  }
-  Out = static_cast<unsigned>(V);
-  return true;
-}
 
 bool readHostFile(const std::string &Path, std::string &Out) {
   std::FILE *F = std::fopen(Path.c_str(), "rb");
@@ -142,7 +128,7 @@ int main(int argc, char **argv) {
         FlagValue(Arg, "--edit-log", I, EditLogOut))
       continue;
     if (Arg == "-j") {
-      if (I + 1 >= argc || !parseUnsigned(argv[++I], Opts.Jobs)) {
+      if (I + 1 >= argc || !parseDecimal(argv[++I], Opts.Jobs)) {
         std::fprintf(stderr,
                      "scworkload: error: option '-j' requires a positive "
                      "integer\n");
