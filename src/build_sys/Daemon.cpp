@@ -159,6 +159,15 @@ constexpr const char *EventMetrics[] = {
     "daemon.cancelled_on_drain"};
 } // namespace
 
+DaemonRequest sc::makeBuildRequest(const BuildOptions &Options) {
+  DaemonRequest Req;
+  Req.Opt = static_cast<int>(Options.Compiler.Opt);
+  Req.Mode = static_cast<int>(Options.Compiler.Stateful.SkipMode);
+  Req.Reuse = Options.Compiler.Stateful.ReuseFunctionCode;
+  Req.Jobs = Options.Jobs;
+  return Req;
+}
+
 std::string sc::daemonSocketPath(const std::string &HostRoot,
                                  const std::string &OutDir) {
   return HostRoot + "/" + OutDir + "/.daemon.sock";

@@ -124,6 +124,11 @@ struct DaemonRequest {
   std::string Query;
 };
 
+/// A `build` request for \p Options' configuration: its Opt, Mode,
+/// Reuse and Jobs. Every client that asks a daemon to build fills them
+/// here.
+DaemonRequest makeBuildRequest(const BuildOptions &Options);
+
 /// One daemon response frame.
 struct DaemonFrame {
   /// "out" (copy Text to stdout), "err" (copy Text to stderr), "busy"

@@ -39,13 +39,14 @@ void CacheDaemon::publishMetrics() {
   const CacheStats S = Store->stats();
   std::lock_guard<std::mutex> L(MetricsMu);
   // The store reports lifetime totals; counters are monotonic, so fold
-  // in the delta since the last publication.
+  // in the delta since the last publication. Every counter exists from
+  // the first publication on, so a zero reads as 0, not as absent.
   for (const CacheStatField &F : CacheStatFields) {
     const uint64_t Now = S.*F.Member, Last = LastPublished.*F.Member;
     if (!F.Counter)
       Metrics.gauge(F.Metric).set(static_cast<double>(Now));
-    else if (Now > Last)
-      Metrics.counter(F.Metric).add(Now - Last);
+    else
+      Metrics.counter(F.Metric).add(Now > Last ? Now - Last : 0);
   }
   LastPublished = S;
 }

@@ -16,7 +16,6 @@
 #include <charconv>
 #include <string>
 #include <string_view>
-#include <type_traits>
 #include <vector>
 
 namespace sc {
@@ -65,11 +64,11 @@ inline std::string joinStrings(const std::vector<std::string> &Items,
   return Out;
 }
 
-/// Strict decimal parse for numeric options: digits only, so an empty
-/// string, a sign ("-1"), trailing junk ("4x") or a value \p T cannot
-/// hold is false, and \p Out keeps its value.
+/// Strict decimal parse for numeric options: digits only, with a
+/// leading '-' when \p T is signed, so an empty string, a '+', a sign
+/// on an unsigned \p T ("-1"), trailing junk ("4x") or a value \p T
+/// cannot hold is false, and \p Out keeps its value.
 template <class T> bool parseDecimal(std::string_view Text, T &Out) {
-  static_assert(std::is_unsigned_v<T>, "an option value has no sign");
   const char *End = Text.data() + Text.size();
   T V = 0;
   const auto [Stop, Err] = std::from_chars(Text.data(), End, V);

@@ -367,7 +367,14 @@ std::string sc::renderScenario(const Scenario &S) {
 
 namespace {
 
-BuildOptions driverOptions(const ScenarioRunOptions &Opts) {
+std::string firstLine(const std::string &S) {
+  size_t NL = S.find('\n');
+  return NL == std::string::npos ? S : S.substr(0, NL);
+}
+
+} // namespace
+
+BuildOptions sc::scenarioBuildOptions(const ScenarioRunOptions &Opts) {
   BuildOptions BO;
   BO.Jobs = Opts.Jobs;
   BO.OutDir = Opts.OutDir;
@@ -385,13 +392,6 @@ BuildOptions driverOptions(const ScenarioRunOptions &Opts) {
   BO.VerifyDeps = Opts.VerifyDeps;
   return BO;
 }
-
-std::string firstLine(const std::string &S) {
-  size_t NL = S.find('\n');
-  return NL == std::string::npos ? S : S.substr(0, NL);
-}
-
-} // namespace
 
 ScenarioRunner::ScenarioRunner(const Scenario &Sc_, VirtualFileSystem &FS_,
                                ScenarioRunOptions Opts_)
@@ -423,7 +423,7 @@ bool ScenarioRunner::run() {
   DepVerifier::savePlant(FS, Opts.OutDir, Plant);
 
   if (!Opts.ExternalBuild)
-    Driver = std::make_unique<BuildDriver>(FS, driverOptions(Opts));
+    Driver = std::make_unique<BuildDriver>(FS, scenarioBuildOptions(Opts));
 
   auto buildAndRecord = [&](const std::string &Phase, unsigned Iter,
                             std::vector<std::string> Changed) {
@@ -623,7 +623,7 @@ bool ScenarioRunner::scratchMatches(std::string &Detail) {
     if (std::optional<std::string> C = FS.readFile(Path))
       Scratch.writeFile(Path, *C);
   }
-  BuildOptions BO = driverOptions(Opts);
+  BuildOptions BO = scenarioBuildOptions(Opts);
   BO.VerifyDeps = false; // Divergence detection only.
   BuildDriver Fresh(Scratch, BO);
   BuildStats S = Fresh.build();

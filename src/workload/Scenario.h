@@ -156,6 +156,11 @@ struct ScenarioRunOptions {
   std::function<BuildStats()> ExternalBuild;
 };
 
+/// The configuration a replay builds with: ExactSkip (or Stateless) at
+/// Opts' opt level. A daemon that serves the replay's builds must run
+/// with it.
+BuildOptions scenarioBuildOptions(const ScenarioRunOptions &Opts);
+
 /// One phase iteration's outcome ("<initial>" for the pre-phase
 /// baseline build).
 struct ScenarioPhaseOutcome {

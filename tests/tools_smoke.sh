@@ -19,6 +19,7 @@ CACHE_PID=""
 cleanup() {
   [ -n "$DAEMON_PID" ] && kill "$DAEMON_PID" 2>/dev/null || true
   [ -n "$CACHE_PID" ] && kill "$CACHE_PID" 2>/dev/null || true
+  "$SCBUILD" "$DIR/autostart" --daemon-shutdown >/dev/null 2>&1 || true
   rm -rf "$DIR"
 }
 trap cleanup EXIT
@@ -651,6 +652,22 @@ assert doc["puts"] >= 1, doc
 assert "counters" in doc["metrics"] and "gauges" in doc["metrics"]
 assert doc["metrics"]["counters"].get("cache.puts", 0) == doc["puts"], doc
 PYEOF
+
+# Every stat is in the registry from the first publication on, zeros
+# included: each top-level counter equals its cache.* counter, and each
+# level its cache.* gauge.
+python3 - <<'PYEOF' || { echo "FAIL: sccached registry misses a stat"; exit 1; }
+import json
+doc = json.load(open("cstats.json"))
+counters = {"gets", "hits", "misses", "puts", "touches", "evictions",
+            "corrupt_dropped"}
+for key, value in doc.items():
+    if key in ("schema", "schema_version", "metrics"):
+        continue
+    kind = "counters" if key in counters else "gauges"
+    got = doc["metrics"][kind].get("cache." + key)
+    assert got == value, (kind, key, got, value)
+PYEOF
 "$SCCACHED" --socket="$CACHE_SOCK" --shutdown
 wait "$CACHE_PID" || { echo "FAIL: sccached exited nonzero"; exit 1; }
 CACHE_PID=""
@@ -704,5 +721,68 @@ grep -q "dep-missing: " verify.err || {
 "$SCWORKLOAD" check "$SCENDIR/refactor-storm.scen" > normalized.scen
 grep -q "scenario: refactor-storm" normalized.scen || {
   echo "FAIL: scworkload check did not echo the spec"; exit 1; }
+
+# --via-daemon asks the daemon for the replay's own configuration
+# (ExactSkip at the replay's -O), so a daemon started with --exact
+# serves every phase build and the scratch comparison holds.
+mkdir -p replay-daemon
+"$SCBUILDD" replay-daemon --exact --quiet &
+DAEMON_PID=$!
+for _ in $(seq 50); do
+  [ -S replay-daemon/out/.daemon.sock ] && break
+  sleep 0.1
+done
+[ -S replay-daemon/out/.daemon.sock ] || {
+  echo "FAIL: daemon socket never appeared"; exit 1; }
+"$SCWORKLOAD" run "$SCENDIR/refactor-storm.scen" --dir replay-daemon \
+  --via-daemon --quiet || { echo "FAIL: replay through the daemon failed"; exit 1; }
+"$SCBUILD" replay-daemon --daemon-shutdown
+wait "$DAEMON_PID" || { echo "FAIL: daemon exited nonzero"; exit 1; }
+DAEMON_PID=""
+
+#===--- --run arguments and an auto-started daemon ------------------------===#
+
+# --run arguments are strict signed integers: a bad one is a usage
+# error that quotes it, with or without --daemon; a good one reaches
+# main().
+mkdir -p runargs
+echo 'fn main(a: int) -> int { return a + 1; }' > runargs/main.mc
+for MODE in "" --daemon; do
+  set +e
+  "$SCBUILD" runargs --quiet $MODE --run abc 2> runargs.err
+  RC=$?
+  set -e
+  [ "$RC" = 1 ] && grep -q "scbuild: error: .*'abc'" runargs.err || {
+    echo "FAIL: --run abc ($MODE) exited $RC: $(cat runargs.err)"; exit 1; }
+done
+set +e
+"$SCBUILD" runargs --quiet --run 41
+RC=$?
+set -e
+[ "$RC" = 42 ] || { echo "FAIL: --run 41 exited $RC, want 42"; exit 1; }
+
+# --daemon=auto-start launches a scbuildd with the build's own flags:
+# the launching build runs through it, and a request for another
+# configuration (the default HeuristicSkip at -O2) is refused.
+mkdir -p autostart
+cp hist/util.mc hist/main.mc autostart/
+OUT="$("$SCBUILD" autostart --daemon=auto-start --exact -O1 --quiet --run)"
+[ "$OUT" = "42" ] || { echo "FAIL: auto-started daemon build got '$OUT'"; exit 1; }
+STATUS="$("$SCBUILD" autostart --daemon-status)"
+echo "$STATUS" | grep -q "builds served 1" || {
+  echo "FAIL: auto-started daemon did not serve the build: $STATUS"; exit 1; }
+set +e
+"$SCBUILD" autostart --daemon --quiet 2> autostart.err
+RC=$?
+set -e
+[ "$RC" = 1 ] && grep -q "different compiler configuration" autostart.err || {
+  echo "FAIL: mismatched request exited $RC: $(cat autostart.err)"; exit 1; }
+"$SCBUILD" autostart --daemon-shutdown
+for _ in $(seq 50); do
+  [ -e autostart/out/.daemon.sock ] || break
+  sleep 0.1
+done
+[ ! -e autostart/out/.daemon.sock ] || {
+  echo "FAIL: auto-started daemon left its socket"; exit 1; }
 
 echo "tools smoke: OK"

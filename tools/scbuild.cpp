@@ -19,64 +19,25 @@
 ///                   one-shot (or looping, with --watch) status view of the
 ///                   serving daemon, built on its status + metrics verbs
 ///
-/// Options:
-///   -O0|-O1|-O2     optimization level (default -O2)
-///   -j <N>          total build concurrency, shared by TU-level jobs
-///                   and intra-TU function-pass tasks (default: all
-///                   hardware threads; 0 is clamped to 1)
-///   --stateless     baseline compiler (default: stateful)
-///   --exact         ExactSkip policy instead of the paper's heuristic
-///   --reuse         enable function-level code reuse
-///   --clean         drop artifacts and state before building
-///   --run [args...] execute main() after a successful build; the
-///                   remaining arguments are passed as integers
-///   --quiet         suppress the build summary (warnings still print)
-///   --daemon[=auto-start]
-///                   build through a resident scbuildd daemon when one
-///                   serves <dir>/out (warm caches across builds); with
-///                   =auto-start, launch one if none is running. Falls
-///                   back to an in-process build when no daemon listens.
-///                   Output is byte-identical either way.
-///   --daemon-status print the serving daemon's status and exit
-///   --daemon-shutdown
-///                   stop the serving daemon and exit
-///   --remote-cache=PATH
-///                   use the sccached daemon listening on Unix socket
-///                   PATH as a shared remote object cache: objects
-///                   another machine already compiled are fetched and
-///                   verified instead of recompiled, and new objects
-///                   are published for the rest of the fleet. A dead or
-///                   absent daemon degrades to a plain local build with
-///                   one warning — never a failed build.
-///   --verify-deps   after a successful build, cross-check the files
-///                   each TU actually read against the import graph's
-///                   tracked edges (build_sys/DepVerifier.h). Findings
-///                   print as stable `dep-missing:` / `dep-redundant:`
-///                   reason lines and the exit code is 6. Observational
-///                   only — never changes what gets built.
-///   --trace-out=FILE   write a Chrome trace-event JSON of the build
-///                      (load in chrome://tracing or Perfetto)
-///   --report-json=FILE write the versioned JSON build report
-///   --history-limit=N  retain at most N records in out/history.jsonl
-///                      (default 512; 0 disables the ledger entirely)
-///   --profile-sample-hz=N
-///                      sample every thread's current span stack N times a
-///                      second and merge the weighted aggregates into the
-///                      trace and history record (0 = off, the default; the
-///                      off path costs one relaxed load per span)
-///   --explain TU[:pass] replay why each pass ran or slept for TU in
-///                       the last recorded build (no build happens;
-///                       with --daemon, answered by the daemon)
+/// The flags are the table in main(); `scbuild --help` prints it.
+/// `--daemon` builds through the scbuildd serving <dir>/out and falls
+/// back to an in-process build when none listens; the output is
+/// byte-identical either way. `--remote-cache` degrades to a local
+/// build with one warning when its daemon is dead or absent, never to
+/// a failed build. `--verify-deps` findings print as `dep-missing:` /
+/// `dep-redundant:` lines and exit 6.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "build_sys/Analyze.h"
+#include "build_sys/BuildFlags.h"
 #include "build_sys/BuildFacts.h"
 #include "build_sys/BuildReport.h"
 #include "build_sys/BuildSystem.h"
 #include "build_sys/Daemon.h"
 #include "build_sys/DaemonClient.h"
 #include "build_sys/Explain.h"
+#include "support/CommandLine.h"
 #include "support/FaultyFileSystem.h"
 #include "support/FileSystem.h"
 #include "support/Metrics.h"
@@ -86,11 +47,9 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <fcntl.h>
@@ -120,18 +79,8 @@ DaemonClient autoStartDaemon(const std::string &Dir, const std::string &Sock,
   }
 
   std::vector<std::string> Args = {Daemon, Dir};
-  Args.push_back(Options.Compiler.Opt == OptLevel::O0   ? "-O0"
-                 : Options.Compiler.Opt == OptLevel::O1 ? "-O1"
-                                                        : "-O2");
-  if (Options.Compiler.Stateful.SkipMode == StatefulConfig::Mode::Stateless)
-    Args.push_back("--stateless");
-  else if (Options.Compiler.Stateful.SkipMode ==
-           StatefulConfig::Mode::ExactSkip)
-    Args.push_back("--exact");
-  if (Options.Compiler.Stateful.ReuseFunctionCode)
-    Args.push_back("--reuse");
-  Args.push_back("-j");
-  Args.push_back(std::to_string(Options.Jobs));
+  for (std::string &A : buildConfigArgs(Options))
+    Args.push_back(std::move(A));
 
   const std::string LogDir = Dir + "/" + Options.OutDir;
   ::mkdir(LogDir.c_str(), 0755); // Best effort; scbuildd creates it too.
@@ -170,174 +119,92 @@ DaemonClient autoStartDaemon(const std::string &Dir, const std::string &Sock,
 } // namespace
 
 int main(int argc, char **argv) {
-  std::string Dir = ".";
   BuildOptions Options;
-  Options.Compiler.Stateful.SkipMode =
-      StatefulConfig::Mode::HeuristicSkip;
-  // Default to every hardware thread; hardware_concurrency() may
-  // return 0 on exotic platforms.
-  Options.Jobs = std::max(1u, std::thread::hardware_concurrency());
-  bool Clean = false, Run = false, Quiet = false;
+  bool Clean = false, Quiet = false;
   bool Daemon = false, DaemonAutoStart = false;
   bool DaemonStatus = false, DaemonShutdown = false;
-  std::string TraceOut, ReportOut, ExplainQ, RemoteCache;
-  std::string Command; // "analyze" | "daemon-top" | "" (build).
-  std::string BuildIdText, AgainstIdText, TopText;
-  std::string HistoryLimitText, SampleHzText, LockTimeoutText;
-  bool AnalyzeJson = false, Watch = false;
-  std::vector<int64_t> RunArgs;
-  std::vector<std::string> FaultSpecs; // Hidden --inject-fault op:N.
-
-  // Accepts --flag=VALUE or --flag VALUE. A matching flag with no
-  // value is consumed too (ArgError set), so it reports "requires a
-  // value" instead of falling through to "unknown option".
-  bool ArgError = false;
-  auto FlagValue = [&](const std::string &Arg, const char *Flag, int &I,
-                       std::string &Out) {
-    std::string Prefix = std::string(Flag) + "=";
-    if (Arg.compare(0, Prefix.size(), Prefix) == 0) {
-      Out = Arg.substr(Prefix.size());
-      return true;
-    }
-    if (Arg != Flag)
-      return false;
-    if (I + 1 < argc) {
-      Out = argv[++I];
-      return true;
-    }
-    std::fprintf(stderr, "scbuild: error: option '%s' requires a value\n",
-                 Flag);
-    ArgError = true;
-    return true;
-  };
-
-  for (int I = 1; I < argc; ++I) {
-    std::string Arg = argv[I];
-    if (Run) {
-      RunArgs.push_back(std::strtoll(Arg.c_str(), nullptr, 10));
-      continue;
-    }
-    if (FlagValue(Arg, "--trace-out", I, TraceOut) ||
-        FlagValue(Arg, "--report-json", I, ReportOut) ||
-        FlagValue(Arg, "--explain", I, ExplainQ) ||
-        FlagValue(Arg, "--remote-cache", I, RemoteCache) ||
-        FlagValue(Arg, "--build", I, BuildIdText) ||
-        FlagValue(Arg, "--against", I, AgainstIdText) ||
-        FlagValue(Arg, "--top", I, TopText) ||
-        FlagValue(Arg, "--history-limit", I, HistoryLimitText) ||
-        FlagValue(Arg, "--profile-sample-hz", I, SampleHzText) ||
-        // Hidden: shorten the advisory-lock wait (tests/repros).
-        FlagValue(Arg, "--lock-timeout-ms", I, LockTimeoutText))
-      continue;
-    if (Arg == "-O0")
-      Options.Compiler.Opt = OptLevel::O0;
-    else if (Arg == "-O1")
-      Options.Compiler.Opt = OptLevel::O1;
-    else if (Arg == "-O2")
-      Options.Compiler.Opt = OptLevel::O2;
-    else if (Arg == "-j") {
-      if (I + 1 >= argc) {
-        std::fprintf(stderr, "scbuild: error: option '-j' requires a value\n");
-        return 1;
-      }
-      unsigned Jobs = 0;
-      if (!parseDecimal(argv[++I], Jobs)) {
-        std::fprintf(stderr,
-                     "scbuild: error: option '-j' requires a positive "
-                     "integer (got '%s')\n",
-                     argv[I]);
-        return 1;
-      }
-      // 0 would mean "no threads at all"; the nearest meaningful
-      // request is a serial build.
-      Options.Jobs = std::max(1u, Jobs);
-    }
-    else if (Arg == "--stateless")
-      Options.Compiler.Stateful.SkipMode = StatefulConfig::Mode::Stateless;
-    else if (Arg == "--exact")
-      Options.Compiler.Stateful.SkipMode = StatefulConfig::Mode::ExactSkip;
-    else if (Arg == "--reuse")
-      Options.Compiler.Stateful.ReuseFunctionCode = true;
-    else if (Arg == "--verify-deps")
-      Options.VerifyDeps = true;
-    else if (Arg == "--clean")
-      Clean = true;
-    else if (Arg == "--run")
-      Run = true;
-    else if (Arg == "--quiet")
-      Quiet = true;
-    else if (Arg == "--json")
-      AnalyzeJson = true;
-    else if (Arg == "--watch")
-      Watch = true;
-    else if (Arg == "--daemon")
-      Daemon = true;
-    else if (Arg == "--daemon=auto-start") {
-      Daemon = true;
-      DaemonAutoStart = true;
-    } else if (Arg == "--daemon-status")
-      DaemonStatus = true;
-    else if (Arg == "--daemon-shutdown")
-      DaemonShutdown = true;
-    else if (Arg == "--inject-fault") {
-      // Hidden: deterministic fault injection for repros/benchmarks —
-      // torn:N | enospc:N | enospc*:N (sticky) | read:N | crash:N,
-      // firing on the Nth matching filesystem operation.
-      if (I + 1 >= argc) {
-        std::fprintf(
-            stderr,
-            "scbuild: error: option '--inject-fault' requires a value\n");
-        return 1;
-      }
-      FaultSpecs.push_back(argv[++I]);
-    } else if (Arg == "--help" || Arg == "-h") {
-      std::fprintf(stderr,
-                   "usage: scbuild [dir] [-O0|-O1|-O2] [-j N] "
-                   "[--stateless] [--exact] [--reuse]\n               "
-                   "[--clean] [--quiet] [--verify-deps] "
-                   "[--daemon[=auto-start]] "
-                   "[--daemon-status] [--daemon-shutdown]\n               "
-                   "[--trace-out=FILE] [--report-json=FILE] "
-                   "[--remote-cache=SOCKET]\n               "
-                   "[--history-limit=N] [--profile-sample-hz=N]\n"
-                   "               [--explain TU[:pass]] [--run [args...]]\n"
-                   "       scbuild analyze [dir] [--build=ID] [--against=ID] "
-                   "[--top=N] [--json]\n"
-                   "       scbuild daemon-top [dir] [--watch]\n");
-      return 0;
-    } else if (!Arg.empty() && Arg[0] == '-') {
-      std::fprintf(stderr, "scbuild: error: unknown option '%s'\n",
-                   Arg.c_str());
-      return 1;
-    } else if (Command.empty() &&
-               (Arg == "analyze" || Arg == "daemon-top")) {
-      Command = Arg;
-    } else {
-      Dir = Arg;
-    }
-  }
-  if (ArgError)
-    return 1;
-
-  auto ParseFlag = [](const std::string &Text, const char *Flag, auto &Out) {
-    if (Text.empty() || parseDecimal(Text, Out))
-      return true;
-    std::fprintf(stderr,
-                 "scbuild: error: option '%s' requires a non-negative "
-                 "integer (got '%s')\n",
-                 Flag, Text.c_str());
-    return false;
-  };
+  std::string TraceOut, ReportOut, ExplainQ;
   uint64_t AnalyzeBuildId = 0, AnalyzeAgainstId = 0;
   unsigned AnalyzeTop = 5;
-  if (!ParseFlag(BuildIdText, "--build", AnalyzeBuildId) ||
-      !ParseFlag(AgainstIdText, "--against", AnalyzeAgainstId) ||
-      !ParseFlag(TopText, "--top", AnalyzeTop) ||
-      !ParseFlag(HistoryLimitText, "--history-limit", Options.HistoryLimit) ||
-      !ParseFlag(SampleHzText, "--profile-sample-hz",
-                 Options.ProfileSampleHz) ||
-      !ParseFlag(LockTimeoutText, "--lock-timeout-ms", Options.LockTimeoutMs))
-    return 1;
+  bool AnalyzeJson = false, Watch = false;
+  std::optional<std::vector<std::string>> RunText;
+  std::vector<std::string> FaultSpecs;
+
+  using Flag = CommandLineFlag;
+  std::vector<Flag> Flags = buildConfigFlags(Options);
+  Flags.insert(
+      Flags.end(),
+      {{"--clean", Flag::Switch, "drop artifacts and state before building",
+        &Clean},
+       {"--quiet", Flag::Switch, "suppress the build summary (not warnings)",
+        &Quiet},
+       {"--verify-deps", Flag::Switch,
+        "cross-check each TU's reads against the import graph",
+        &Options.VerifyDeps},
+       {"--daemon", Flag::Switch,
+        "build through the resident scbuildd (=auto-start: launch one)",
+        &Daemon},
+       {"--daemon=auto-start", Flag::Switch,
+        "build through the resident scbuildd (=auto-start: launch one)",
+        [&] { Daemon = DaemonAutoStart = true; }},
+       {"--daemon-status", Flag::Switch,
+        "print the serving daemon's status and exit", &DaemonStatus},
+       {"--daemon-shutdown", Flag::Switch,
+        "stop the serving daemon and exit", &DaemonShutdown},
+       {"--trace-out=FILE", Flag::Value,
+        "write a Chrome trace-event JSON of the build", &TraceOut},
+       {"--report-json=FILE", Flag::Value,
+        "write the versioned JSON build report", &ReportOut},
+       {"--remote-cache=SOCKET", Flag::Value,
+        "use the sccached daemon on SOCKET as a shared object cache",
+        &Options.RemoteCache},
+       {"--history-limit=N", Flag::Number,
+        "keep at most N records in out/history.jsonl (default 512; 0 = off)",
+        &Options.HistoryLimit},
+       {"--profile-sample-hz=N", Flag::Number,
+        "sample span stacks N times a second into trace and ledger (0 = off)",
+        &Options.ProfileSampleHz},
+       {"--explain TU[:pass]", Flag::Value,
+        "replay why each pass ran or slept for TU in the last build",
+        &ExplainQ},
+       {"--build=ID", Flag::Number,
+        "analyze: the build to report (default: the newest)",
+        &AnalyzeBuildId},
+       {"--against=ID", Flag::Number, "analyze: diff against this build",
+        &AnalyzeAgainstId},
+       {"--top=N", Flag::Number, "analyze: rows per table (default 5)",
+        &AnalyzeTop},
+       {"--json", Flag::Switch, "analyze: print JSON", &AnalyzeJson},
+       {"--watch", Flag::Switch, "daemon-top: redraw every second", &Watch},
+       // Hidden: shorten the advisory-lock wait (tests/repros).
+       {"--lock-timeout-ms=N", Flag::Number, "", &Options.LockTimeoutMs},
+       // Hidden: deterministic fault injection for repros/benchmarks —
+       // torn:N | enospc:N | enospc*:N (sticky) | read:N | crash:N,
+       // firing on the Nth matching filesystem operation.
+       {"--inject-fault SPEC", Flag::Value, "", &FaultSpecs},
+       {"--run [args...]", Flag::Rest,
+        "execute main() after a successful build, with integer arguments",
+        &RunText}});
+  const CommandLine CL("scbuild",
+                       "scbuild [dir] [options]\n"
+                       "       scbuild analyze|daemon-top [dir] [options]",
+                       std::move(Flags));
+  std::vector<std::string> Positionals;
+  if (int Exit = CL.parse(argc, argv, &Positionals); Exit >= 0)
+    return Exit;
+  std::string Dir = ".";
+  std::string Command; // "analyze" | "daemon-top" | "" (build).
+  for (const std::string &P : Positionals) {
+    if (Command.empty() && (P == "analyze" || P == "daemon-top"))
+      Command = P;
+    else
+      Dir = P;
+  }
+  const bool Run = RunText.has_value();
+  std::vector<int64_t> RunArgs;
+  for (const std::string &A : RunText.value_or(std::vector<std::string>()))
+    if (!parseDecimal(A, RunArgs.emplace_back()))
+      return CL.error("--run argument '%s' is not an integer", A.c_str());
 
   //===--- analyze: offline report over the history ledger ----------------===//
 
@@ -350,10 +217,8 @@ int main(int argc, char **argv) {
     AOpt.Json = AnalyzeJson;
     AnalyzeResult AR =
         analyzeHistory(AnalyzeFS, Options.OutDir + "/history.jsonl", AOpt);
-    if (!AR.OK) {
-      std::fprintf(stderr, "scbuild: error: %s\n", AR.Error.c_str());
-      return 1;
-    }
+    if (!AR.OK)
+      return CL.error("%s", AR.Error.c_str());
     std::fputs(AR.Text.c_str(), stdout);
     return 0;
   }
@@ -386,22 +251,16 @@ int main(int argc, char **argv) {
       Req.Verb = "status";
       if (StatusConn.roundTrip(
               Req, [&](const std::string &T) { Status += T; }, PrintErr,
-              nullptr, &Err) < 0) {
-        std::fprintf(stderr, "scbuild: error: daemon request failed: %s\n",
-                     Err.c_str());
-        return 1;
-      }
+              nullptr, &Err) < 0)
+        return CL.error("daemon request failed: %s", Err.c_str());
       // One request per connection, so the metrics verb reconnects.
       DaemonClient MetricsConn = DaemonClient::connect(SockPath);
       Req.Verb = "metrics";
       if (!MetricsConn.connected() ||
           MetricsConn.roundTrip(
               Req, [&](const std::string &T) { MetricsText += T; }, PrintErr,
-              nullptr, &Err) < 0) {
-        std::fprintf(stderr, "scbuild: error: daemon request failed: %s\n",
-                     Err.c_str());
-        return 1;
-      }
+              nullptr, &Err) < 0)
+        return CL.error("daemon request failed: %s", Err.c_str());
       const auto Samples = MetricsTextExporter::parse(MetricsText);
       auto Sample = [&](const std::string &Name) -> double {
         for (const auto &P : Samples)
@@ -484,60 +343,42 @@ int main(int argc, char **argv) {
     Req.Verb = DaemonShutdown ? "shutdown" : "status";
     std::string Err;
     int Code = Client.roundTrip(Req, PrintOut, PrintErr, nullptr, &Err);
-    if (Code < 0) {
-      std::fprintf(stderr, "scbuild: error: daemon request failed: %s\n",
-                   Err.c_str());
-      return 1;
-    }
-    return Code;
+    return Code < 0 ? CL.error("daemon request failed: %s", Err.c_str())
+                    : Code;
   }
 
   if (Daemon) {
     // Per-process telemetry sinks cannot cross the socket; the daemon
     // has its own (scbuildd --trace-stream).
-    if (!TraceOut.empty() || !ReportOut.empty() || !FaultSpecs.empty()) {
-      std::fprintf(stderr,
-                   "scbuild: error: --trace-out/--report-json/--inject-fault "
-                   "cannot be combined with --daemon (the daemon process owns "
-                   "those sinks; see scbuildd --trace-stream)\n");
-      return 1;
-    }
+    if (!TraceOut.empty() || !ReportOut.empty() || !FaultSpecs.empty())
+      return CL.error("--trace-out/--report-json/--inject-fault cannot be "
+                      "combined with --daemon (the daemon process owns those "
+                      "sinks; see scbuildd --trace-stream)");
     // The verifier runs inside the building process and reports
     // through BuildStats, which does not cross the socket.
-    if (Options.VerifyDeps) {
-      std::fprintf(stderr,
-                   "scbuild: error: --verify-deps cannot be combined with "
-                   "--daemon (the verifier runs in the building process; "
-                   "use an in-process build)\n");
-      return 1;
-    }
+    if (Options.VerifyDeps)
+      return CL.error("--verify-deps cannot be combined with --daemon (the "
+                      "verifier runs in the building process; use an "
+                      "in-process build)");
     // Likewise the remote-cache connection: the resident driver lives
     // in the daemon process, so the tier is configured there.
-    if (!RemoteCache.empty()) {
-      std::fprintf(stderr,
-                   "scbuild: error: --remote-cache cannot be combined with "
-                   "--daemon (configure the tier on the daemon: scbuildd "
-                   "--remote-cache=SOCKET)\n");
-      return 1;
-    }
+    if (!Options.RemoteCache.empty())
+      return CL.error("--remote-cache cannot be combined with --daemon "
+                      "(configure the tier on the daemon: scbuildd "
+                      "--remote-cache=SOCKET)");
     DaemonClient Client = DaemonClient::connect(SockPath);
     if (!Client.connected() && DaemonAutoStart)
       Client = autoStartDaemon(Dir, SockPath, Options);
     if (Client.connected()) {
-      DaemonRequest Req;
+      DaemonRequest Req = makeBuildRequest(Options);
       if (!ExplainQ.empty()) {
         Req.Verb = "explain";
         Req.Query = ExplainQ;
       } else {
-        Req.Verb = "build";
         Req.Clean = Clean;
         Req.Quiet = Quiet;
         Req.Run = Run;
         Req.RunArgs = RunArgs;
-        Req.Opt = static_cast<int>(Options.Compiler.Opt);
-        Req.Mode = static_cast<int>(Options.Compiler.Stateful.SkipMode);
-        Req.Reuse = Options.Compiler.Stateful.ReuseFunctionCode;
-        Req.Jobs = Options.Jobs;
       }
       // First attempt rides the connection we already have; on a busy
       // rejection or transport failure, requestWithRetry reconnects
@@ -590,7 +431,6 @@ int main(int argc, char **argv) {
   // the ledger is on (the default) — a disabled ledger AND no
   // --trace-out skips even the pointer-registered ring work.
   Options.Compiler.RecordDecisions = Stateful;
-  Options.RemoteCache = RemoteCache;
   std::unique_ptr<TraceRecorder> Trace;
   if (!TraceOut.empty() || Options.HistoryLimit) {
     Trace = std::make_unique<TraceRecorder>();
@@ -605,13 +445,10 @@ int main(int argc, char **argv) {
   if (!FaultSpecs.empty()) {
     Faulty = std::make_unique<FaultyFileSystem>(DiskFS);
     for (const std::string &Spec : FaultSpecs)
-      if (!Faulty->armSpec(Spec)) {
-        std::fprintf(stderr,
-                     "scbuild: error: bad --inject-fault spec '%s' "
-                     "(want torn:N|enospc:N|enospc*:N|read:N|crash:N)\n",
-                     Spec.c_str());
-        return 1;
-      }
+      if (!Faulty->armSpec(Spec))
+        return CL.error("bad --inject-fault spec '%s' "
+                        "(want torn:N|enospc:N|enospc*:N|read:N|crash:N)",
+                        Spec.c_str());
     FS = Faulty.get();
   }
 
@@ -629,23 +466,12 @@ int main(int argc, char **argv) {
   }
 
   // Telemetry outputs are written for failed builds too — a failing
-  // build is exactly when a timeline is most wanted. These are
-  // user-facing host paths, independent of the project filesystem.
-  auto WriteHostFile = [](const std::string &Path, const std::string &Text,
-                          const char *What) {
-    if (std::FILE *F = std::fopen(Path.c_str(), "wb")) {
-      std::fwrite(Text.data(), 1, Text.size(), F);
-      std::fclose(F);
-      return true;
-    }
-    std::fprintf(stderr, "scbuild: warning: could not write %s '%s'\n", What,
-                 Path.c_str());
-    return false;
-  };
+  // build is exactly when a timeline is most wanted.
   if (Trace && !TraceOut.empty())
-    WriteHostFile(TraceOut, Trace->toChromeJson(), "trace");
+    writeHostFile(TraceOut, Trace->toChromeJson(), "scbuild", "trace");
   if (!ReportOut.empty())
-    WriteHostFile(ReportOut, buildReportJson(Stats, &Metrics), "report");
+    writeHostFile(ReportOut, buildReportJson(Stats, &Metrics), "scbuild",
+                  "report");
 
   // One renderer shared with the daemon, so `scbuild` and `scbuild
   // --daemon` produce byte-identical output per stream.

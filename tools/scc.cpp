@@ -8,18 +8,7 @@
 ///
 ///   scc file.mc [options]
 ///
-/// Options:
-///   -o <path>          write the object file (default: <file>.o)
-///   -O0|-O1|-O2        optimization level (default -O2)
-///   --stateful         enable dormant-pass skipping
-///   --reuse            also enable function-level code reuse
-///   --state-db <path>  persistent state location (default: .scc-state.db)
-///   --emit-ir          print the optimized IR
-///   --emit-asm         print the generated VISA assembly
-///   --run              link this object alone and execute main()
-///   --stats            print compile statistics
-///   --quiet            suppress the pass-skip summary (never warnings)
-///   --verify-each      run the IR verifier after every changing pass
+/// The flags are the table in main(); `scc --help` prints it.
 ///
 /// Imports are resolved relative to the directory of the importing
 /// file (like #include "..."), so `scc sub/main.mc` from anywhere finds
@@ -27,33 +16,25 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "build_sys/BuildSystem.h"
+#include "build_sys/BuildFlags.h"
 #include "codegen/AsmPrinter.h"
 #include "codegen/ObjectFile.h"
 #include "driver/Compiler.h"
 #include "driver/IRGen.h"
 #include "ir/IRPrinter.h"
 #include "lang/Parser.h"
+#include "support/CommandLine.h"
 #include "support/FileSystem.h"
 #include "vm/VM.h"
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
 using namespace sc;
 
 namespace {
-
-void usage() {
-  std::fprintf(
-      stderr,
-      "usage: scc <file.mc> [-o out.o] [-O0|-O1|-O2] [--stateful] "
-      "[--reuse]\n           [--state-db path] [--emit-ir] [--emit-asm] "
-      "[--run] [--stats]\n           [--quiet] [--verify-each]\n");
-}
 
 /// Resolves \p Import as written in the file at \p FromPath: absolute
 /// imports are taken verbatim; relative ones are joined to the
@@ -128,78 +109,52 @@ bool resolveImports(RealFileSystem &FS, const std::string &FromPath,
 } // namespace
 
 int main(int argc, char **argv) {
-  std::string InputPath, OutputPath, StatePath = ".scc-state.db";
+  std::string OutputPath, StatePath = ".scc-state.db";
   CompilerOptions Options;
   bool Stateful = false, EmitIR = false, EmitAsm = false, Run = false,
        Stats = false, Quiet = false;
 
-  for (int I = 1; I < argc; ++I) {
-    std::string Arg = argv[I];
-    if (Arg == "-o") {
-      if (I + 1 >= argc) {
-        std::fprintf(stderr, "scc: error: option '-o' requires a value\n");
-        return 1;
-      }
-      OutputPath = argv[++I];
-    } else if (Arg == "-O0")
-      Options.Opt = OptLevel::O0;
-    else if (Arg == "-O1")
-      Options.Opt = OptLevel::O1;
-    else if (Arg == "-O2")
-      Options.Opt = OptLevel::O2;
-    else if (Arg == "--stateful")
-      Stateful = true;
-    else if (Arg == "--reuse") {
-      Stateful = true;
-      Options.Stateful.ReuseFunctionCode = true;
-    } else if (Arg == "--state-db") {
-      if (I + 1 >= argc) {
-        std::fprintf(stderr,
-                     "scc: error: option '--state-db' requires a value\n");
-        return 1;
-      }
-      StatePath = argv[++I];
-    } else if (Arg == "--emit-ir")
-      EmitIR = true;
-    else if (Arg == "--emit-asm")
-      EmitAsm = true;
-    else if (Arg == "--run")
-      Run = true;
-    else if (Arg == "--stats")
-      Stats = true;
-    else if (Arg == "--quiet")
-      Quiet = true;
-    else if (Arg == "--verify-each")
-      Options.VerifyEach = true;
-    else if (Arg == "--help" || Arg == "-h") {
-      usage();
-      return 0;
-    } else if (!Arg.empty() && Arg[0] == '-') {
-      std::fprintf(stderr, "scc: error: unknown option '%s'\n",
-                   Arg.c_str());
-      usage();
-      return 1;
-    } else if (InputPath.empty()) {
-      InputPath = Arg;
-    } else {
-      std::fprintf(stderr, "scc: error: multiple input files\n");
-      return 1;
-    }
-  }
-  if (InputPath.empty()) {
-    usage();
+  using Flag = CommandLineFlag;
+  std::vector<Flag> Flags = optLevelFlags(Options.Opt);
+  Flags.insert(
+      Flags.end(),
+      {{"-o out.o", Flag::Value, "write the object file (default: <file>.o)",
+        &OutputPath},
+       {"--stateful", Flag::Switch, "enable dormant-pass skipping",
+        &Stateful},
+       {"--reuse", Flag::Switch, "also enable function-level code reuse",
+        [&] { Stateful = Options.Stateful.ReuseFunctionCode = true; }},
+       {"--state-db path", Flag::Value,
+        "persistent state location (default: .scc-state.db)", &StatePath},
+       {"--emit-ir", Flag::Switch, "print the optimized IR", &EmitIR},
+       {"--emit-asm", Flag::Switch, "print the generated VISA assembly",
+        &EmitAsm},
+       {"--run", Flag::Switch, "link this object alone and execute main()",
+        &Run},
+       {"--stats", Flag::Switch, "print compile statistics", &Stats},
+       {"--quiet", Flag::Switch,
+        "suppress the pass-skip summary (never warnings)", &Quiet},
+       {"--verify-each", Flag::Switch,
+        "run the IR verifier after every changing pass",
+        &Options.VerifyEach}});
+  const CommandLine CL("scc", "scc <file.mc> [options]", std::move(Flags));
+  std::vector<std::string> Inputs;
+  if (int Exit = CL.parse(argc, argv, &Inputs); Exit >= 0)
+    return Exit;
+  if (Inputs.size() > 1)
+    return CL.error("multiple input files");
+  if (Inputs.empty()) {
+    std::fputs(CL.help().c_str(), stderr);
     return 1;
   }
+  const std::string &InputPath = Inputs[0];
   if (OutputPath.empty())
     OutputPath = InputPath + ".o";
 
   RealFileSystem FS(".");
   std::optional<std::string> Source = FS.readFile(InputPath);
-  if (!Source) {
-    std::fprintf(stderr, "scc: error: cannot read '%s'\n",
-                 InputPath.c_str());
-    return 1;
-  }
+  if (!Source)
+    return CL.error("cannot read '%s'", InputPath.c_str());
 
   ModuleInterface Imports;
   if (!resolveImports(FS, InputPath, *Source, Imports))
@@ -219,11 +174,8 @@ int main(int argc, char **argv) {
     return 1;
   }
 
-  if (!FS.writeFile(OutputPath, writeObject(Result.Object))) {
-    std::fprintf(stderr, "scc: error: cannot write '%s'\n",
-                 OutputPath.c_str());
-    return 1;
-  }
+  if (!FS.writeFile(OutputPath, writeObject(Result.Object)))
+    return CL.error("cannot write '%s'", OutputPath.c_str());
   if (Stateful && !DB.saveToFile(FS, StatePath))
     // Non-fatal: the object was written, only the next run is colder.
     std::fprintf(stderr,
@@ -295,11 +247,8 @@ int main(int argc, char **argv) {
         continue;
       Done.push_back(Dep);
       std::optional<std::string> DepSource = FS.readFile(Dep);
-      if (!DepSource) {
-        std::fprintf(stderr, "scc: error: cannot read import '%s'\n",
-                     Dep.c_str());
-        return 1;
-      }
+      if (!DepSource)
+        return CL.error("cannot read import '%s'", Dep.c_str());
       ModuleInterface DepImports;
       if (!resolveImports(FS, Dep, *DepSource, DepImports))
         return 1;
