@@ -224,31 +224,6 @@ void BM_CompileTU_TraceDisabled(benchmark::State &State) {
 }
 BENCHMARK(BM_CompileTU_TraceDisabled);
 
-void BM_CompileTU_SamplingOff(benchmark::State &State) {
-  // The `--profile-sample-hz=0` guarantee: with tracing ON but
-  // sampling OFF, every TraceSpan scope (build phases, compile
-  // phases, per-pass) pays exactly one relaxed load for its sampling
-  // frame — no stack maintenance, no allocation. Compare against an
-  // enabled-recorder run; the delta is the sampling hooks alone.
-  static const std::string Src = representativeSource();
-  TraceRecorder Trace(/*StartEnabled=*/true, 1u << 12);
-  CompilerOptions Options;
-  Options.Opt = OptLevel::O2;
-  Options.Trace = &Trace;
-  Compiler C(Options);
-  for (auto _ : State) {
-    CompileResult R = C.compile("bench.mc", Src, {});
-    benchmark::DoNotOptimize(R.Success);
-  }
-  if (!Trace.sampleStacks().empty()) {
-    std::fprintf(stderr,
-                 "E8: sampling-off compile left current-span frames — "
-                 "the --profile-sample-hz=0 gate is broken\n");
-    std::abort();
-  }
-}
-BENCHMARK(BM_CompileTU_SamplingOff);
-
 void BM_TraceSpanRecord(benchmark::State &State, bool Enabled) {
   // Per-event recording cost: enabled measures the lock-free ring
   // append (steady-state: the ring wraps and overwrites), disabled

@@ -160,7 +160,7 @@ std::string renderJson(const HistoryRecord &R, const HistoryRecord *Base,
                        unsigned TopN) {
   std::string J = "{\n";
   J += "  \"schema\": \"scbuild-analyze\",\n";
-  J += "  \"schema_version\": 1,\n";
+  J += "  \"schema_version\": 2,\n";
   J += "  \"build\": " + std::to_string(R.BuildId) + ",\n";
   if (Base)
     J += "  \"against\": " + std::to_string(Base->BuildId) + ",\n";
@@ -239,17 +239,6 @@ std::string renderJson(const HistoryRecord &R, const HistoryRecord *Base,
        ", \"parks\": " + std::to_string(counterOr0(R, "pool.parks")) +
        ", \"park_wait_ns\": " +
        std::to_string(counterOr0(R, "pool.park_wait_ns")) + "},\n";
-
-  J += "  \"samples\": [";
-  for (size_t I = 0; I != R.Samples.size() && I != TopN; ++I) {
-    if (I)
-      J += ", ";
-    J += "{\"stack\": ";
-    appendJsonString(J, R.Samples[I].Stack);
-    J += ", \"samples\": " + std::to_string(R.Samples[I].Samples) +
-         ", \"weight_ns\": " + std::to_string(R.Samples[I].WeightNs) + "}";
-  }
-  J += "],\n";
 
   J += "  \"trace\": {\"events_dropped\": " +
        std::to_string(R.TraceEventsDropped) + "}";
@@ -335,16 +324,6 @@ std::string renderHuman(const HistoryRecord &R, const HistoryRecord *Base,
          std::to_string(counterOr0(R, "pool.steals")) + " steals, " +
          std::to_string(counterOr0(R, "pool.parks")) + " parks (" +
          ms(counterOr0(R, "pool.park_wait_ns") / 1000) + " ms parked)\n";
-  }
-  if (!R.Samples.empty()) {
-    O += "\nsampled stacks (heaviest first):\n";
-    for (size_t I = 0; I != R.Samples.size() && I != TopN; ++I) {
-      char Line[512];
-      std::snprintf(Line, sizeof(Line), "  %9s ms  %s\n",
-                    ms(R.Samples[I].WeightNs / 1000).c_str(),
-                    R.Samples[I].Stack.c_str());
-      O += Line;
-    }
   }
   if (R.TraceEventsDropped)
     O += "\nwarning: the trace behind this record dropped " +

@@ -10,11 +10,9 @@
 /// live process, no trace file in hand. For one build it renders the
 /// critical path scan -> compile -> slowest TU -> slowest pass -> link
 /// with per-node self/total times, the top-N bottleneck TUs and
-/// passes, lock-wait and pool attribution, and (when the build ran
-/// under --profile-sample-hz) the heaviest sampled stacks. With
-/// `--against=ID` it also diffs two builds into new/slower/faster/
-/// fixed nodes carrying stable reason codes, in the spirit of
-/// `scbuild --explain`.
+/// passes, and lock-wait and pool attribution. With `--against=ID` it
+/// also diffs two builds into new/slower/faster/fixed nodes carrying
+/// stable reason codes, in the spirit of `scbuild --explain`.
 ///
 /// Output is a human table or, with `--json`, the versioned
 /// `scbuild-analyze` document defined in docs/OBSERVABILITY.md.

@@ -26,9 +26,9 @@
 #include "support/AtomicFile.h"
 #include "support/ContentionStats.h"
 #include "support/FileLock.h"
+#include "support/FlatJson.h"
 #include "support/Hashing.h"
 #include "support/Metrics.h"
-#include "support/SamplingProfiler.h"
 #include "support/TaskPool.h"
 #include "support/Trace.h"
 
@@ -347,8 +347,12 @@ void BuildDriverImpl::degradeRemote(BuildStats &S, const std::string &Why) {
   S.Warnings.push_back("remote cache '" + Options.RemoteCache +
                        "' is unavailable (" + Why +
                        "); continuing local-only");
-  if (tracing())
-    trace()->instant("remote", "degrade", "{\"reason\":\"" + Why + "\"}");
+  if (tracing()) {
+    // Why may quote a host path (a too-long socket path, say).
+    std::string Args = "{\"reason\":";
+    appendJsonString(Args, Why);
+    trace()->instant("remote", "degrade", Args + "}");
+  }
 }
 
 const std::string &BuildFact::metric() const {
@@ -435,19 +439,7 @@ BuildStats BuildDriverImpl::build() {
   BuildStats S;
   BuildStartSnap = captureHotPathSnapshots();
 
-  // Wall-time sampling overlay: started per build so its aggregates
-  // land inside this build's trace window (and history record). It
-  // must start before BuildSpan below is constructed — TraceSpan only
-  // pushes its sampling frame when sampling is already on, and the
-  // "build" frame is what roots the main thread's sampled stacks.
   const uint64_t TraceDropped0 = tracing() ? trace()->droppedEvents() : 0;
-  std::unique_ptr<SamplingProfiler> Profiler;
-  if (Options.ProfileSampleHz && tracing()) {
-    Profiler =
-        std::make_unique<SamplingProfiler>(*trace(), Options.ProfileSampleHz);
-    Profiler->start();
-  }
-
   TraceSpan BuildSpan(trace(), "build", "build");
   PendingDecisions.clear();
 
@@ -519,17 +511,15 @@ BuildStats BuildDriverImpl::build() {
   S.TotalUs = static_cast<double>(BuildSpan.elapsedNs()) / 1000.0;
 
   // The one exit path (error or success): cache-counter deltas,
-  // profiler teardown, trace-drop accounting (exactly one warning when
-  // the ring overflowed), the history-ledger append, and metrics
-  // publication — the build.* facts last, so they count what the append
-  // added. The build span itself closes after all of it.
+  // trace-drop accounting (exactly one warning when the ring
+  // overflowed), the history-ledger append, and metrics publication —
+  // the build.* facts last, so they count what the append added. The
+  // build span itself closes after all of it.
   S.ScanCacheHits = Scanner.cacheHits() - ScanHits0;
   S.InterfaceScans = Scanner.cacheMisses() - ScanMisses0;
   S.ObjectsParsed = Objects.deserializations() - Parses0;
   S.ObjectsRead = Objects.objectReads() - ObjectReads0;
   S.RemoteRoundTrips = RoundTrips() - RoundTrips0;
-  if (Profiler)
-    Profiler->stop(); // Folds sample aggregates into the trace.
   if (tracing()) {
     S.TraceEventsDropped = trace()->droppedEvents() - TraceDropped0;
     if (S.TraceEventsDropped)

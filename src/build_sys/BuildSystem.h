@@ -76,14 +76,6 @@ struct BuildOptions {
   /// and never degrades to read-only over it.
   bool ExternalLock = false;
 
-  /// Sampling-profiler rate (Hz) for the wall-time overlay
-  /// (support/SamplingProfiler.h): each build() spawns a sampler that
-  /// snapshots per-thread current-span stacks and folds weighted
-  /// aggregates into the trace and the history ledger. 0 (default)
-  /// disables it entirely — no sampler thread, no span-stack
-  /// maintenance. Requires an enabled Compiler.Trace recorder.
-  unsigned ProfileSampleHz = 0;
-
   /// Maximum records retained in the build-history ledger
   /// `<OutDir>/history.jsonl` (see build_sys/History.h). Every build
   /// exit appends one record; when the ledger exceeds this, the oldest

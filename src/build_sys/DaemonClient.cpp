@@ -13,6 +13,18 @@
 
 using namespace sc;
 
+namespace {
+
+/// Ceiling of requestWithRetry()'s doubling backoff, before jitter.
+constexpr unsigned MaxBackoffMs = 1000;
+
+/// How long roundTrip() waits for each response frame. Builds can
+/// legitimately take a while; this only catches a daemon that died
+/// mid-response.
+constexpr unsigned FrameTimeoutMs = 600000;
+
+} // namespace
+
 DaemonClient DaemonClient::connect(const std::string &SocketHostPath) {
   std::string Ignored;
   return DaemonClient(UnixSocket::connectTo(SocketHostPath, &Ignored));
@@ -22,7 +34,7 @@ int DaemonClient::roundTrip(
     const DaemonRequest &Req,
     const std::function<void(const std::string &)> &OnOut,
     const std::function<void(const std::string &)> &OnErr, DaemonFrame *Exit,
-    std::string *Err, unsigned FrameTimeoutMs) {
+    std::string *Err) {
   auto Fail = [&](const std::string &Why) {
     if (Err)
       *Err = Why;
@@ -33,8 +45,6 @@ int DaemonClient::roundTrip(
     return Fail("not connected");
   if (!Sock.sendFrame(encodeRequest(Req)))
     return Fail("could not send the request (daemon gone?)");
-  // Builds can legitimately take a while; the generous per-frame
-  // timeout only catches a daemon that died mid-response.
   for (;;) {
     std::string Payload;
     if (!Sock.recvFrame(Payload, FrameTimeoutMs))
@@ -74,8 +84,7 @@ int DaemonClient::requestWithRetry(
     const std::string &SocketHostPath, const DaemonRequest &Req,
     const std::function<void(const std::string &)> &OnOut,
     const std::function<void(const std::string &)> &OnErr,
-    const RetryPolicy &Policy, DaemonFrame *Exit, std::string *Err,
-    unsigned FrameTimeoutMs) {
+    const RetryPolicy &Policy, DaemonFrame *Exit, std::string *Err) {
   // Doubling backoff with full jitter: each sleep is uniform in
   // [Backoff/2, Backoff], so a thundering herd of rejected clients
   // spreads out instead of re-colliding in lockstep.
@@ -96,18 +105,12 @@ int DaemonClient::requestWithRetry(
       // Nothing listens: retrying cannot help unless a daemon is
       // about to (re)appear — transport retries cover a drain window.
       Last = TransportError;
-      if (!Policy.RetryTransport)
-        return Last;
     } else {
       DaemonFrame F;
-      Last = C.roundTrip(Req, OnOut, OnErr, &F, Err, FrameTimeoutMs);
+      Last = C.roundTrip(Req, OnOut, OnErr, &F, Err);
       if (Exit)
         *Exit = F;
       if (Last >= 0)
-        return Last;
-      if (Last == BusyRejected && !Policy.RetryBusy)
-        return Last;
-      if (Last == TransportError && !Policy.RetryTransport)
         return Last;
       if (Attempt + 1 != Attempts) {
         // The daemon knows its queue better than our exponential
@@ -125,7 +128,7 @@ int DaemonClient::requestWithRetry(
     if (Policy.OnBackoff)
       Policy.OnBackoff(Attempt, SleepMs);
     std::this_thread::sleep_for(std::chrono::milliseconds(SleepMs));
-    Backoff = std::min(Backoff * 2, std::max(Policy.MaxBackoffMs, 1u));
+    Backoff = std::min(Backoff * 2, MaxBackoffMs);
   }
   return Last;
 }

@@ -42,16 +42,9 @@ public:
   struct RetryPolicy {
     /// Total connection attempts (first try included). 1 = no retry.
     unsigned Attempts = 4;
-    /// Backoff before the second attempt; doubles each retry.
+    /// Backoff before the second attempt; doubles each retry, up to
+    /// 1 s before jitter.
     unsigned InitialBackoffMs = 25;
-    /// Backoff ceiling (post-doubling, pre-jitter).
-    unsigned MaxBackoffMs = 1000;
-    /// Retry on `busy` frames (admission control). Off = surface the
-    /// rejection to the caller after one attempt.
-    bool RetryBusy = true;
-    /// Retry on transport errors (daemon draining/crashed). The
-    /// reconnect fails fast when nothing listens anymore.
-    bool RetryTransport = true;
     /// Test hook: fixed jitter seed for reproducible backoff; 0 seeds
     /// from the clock.
     unsigned JitterSeed = 0;
@@ -79,22 +72,21 @@ public:
   int roundTrip(const DaemonRequest &Req,
                 const std::function<void(const std::string &)> &OnOut,
                 const std::function<void(const std::string &)> &OnErr,
-                DaemonFrame *Exit = nullptr, std::string *Err = nullptr,
-                unsigned FrameTimeoutMs = 600000);
+                DaemonFrame *Exit = nullptr, std::string *Err = nullptr);
 
   /// The full client contract: connect + roundTrip, retrying `busy`
-  /// rejections and transport failures per \p Policy with doubling
-  /// backoff + jitter (a busy frame's retry-after suggestion, when
-  /// larger, wins over the computed backoff). Returns the first
-  /// successful exit code, or the last failure (TransportError /
-  /// BusyRejected) once attempts are exhausted — the caller's cue to
-  /// fall back to an in-process build.
+  /// rejections and transport failures (a draining or vanished daemon)
+  /// per \p Policy with doubling backoff + jitter (a busy frame's
+  /// retry-after suggestion, when larger, wins over the computed
+  /// backoff). Returns the first successful exit code, or the last
+  /// failure (TransportError / BusyRejected) once attempts are
+  /// exhausted — the caller's cue to fall back to an in-process build.
   static int requestWithRetry(
       const std::string &SocketHostPath, const DaemonRequest &Req,
       const std::function<void(const std::string &)> &OnOut,
       const std::function<void(const std::string &)> &OnErr,
       const RetryPolicy &Policy, DaemonFrame *Exit = nullptr,
-      std::string *Err = nullptr, unsigned FrameTimeoutMs = 600000);
+      std::string *Err = nullptr);
 
 private:
   DaemonClient() = default;

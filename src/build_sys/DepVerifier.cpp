@@ -11,7 +11,6 @@
 #include "lang/Diagnostics.h"
 #include "lang/Parser.h"
 #include "support/Casting.h"
-#include "support/TracingFileSystem.h"
 
 #include <algorithm>
 #include <set>
@@ -119,7 +118,7 @@ void collectCalls(const Stmt *S, std::set<std::string> &Out) {
 /// dependency scanner uses. Memoized per verify() call — the exporter
 /// sets do not depend on which TU is asking.
 const std::set<std::string> &
-exportedNames(TracingFileSystem &FS, const std::string &Path,
+exportedNames(VirtualFileSystem &FS, const std::string &Path,
               std::map<std::string, std::set<std::string>> &Cache) {
   auto It = Cache.find(Path);
   if (It != Cache.end())
@@ -139,7 +138,6 @@ DepVerifyReport DepVerifier::verify(
     const std::map<std::string, std::vector<std::string>> &Declared,
     const DepVerifyPlant *Plant) {
   DepVerifyReport R;
-  TracingFileSystem Tracer(FS);
   std::map<std::string, std::set<std::string>> ExportCache;
 
   auto Planted = [&](const std::vector<std::pair<std::string, std::string>>
@@ -152,8 +150,7 @@ DepVerifyReport DepVerifier::verify(
   };
 
   for (const auto &[TU, TrackedDeps] : Declared) {
-    Tracer.setScope(TU);
-    std::optional<std::string> Content = Tracer.readFile(TU);
+    std::optional<std::string> Content = FS.readFile(TU);
     if (!Content)
       continue; // Vanished mid-check; nothing to verify.
 
@@ -187,14 +184,14 @@ DepVerifyReport DepVerifier::verify(
             std::find(Edges.begin(), Edges.end(), PDep) == Edges.end())
           Edges.push_back(PDep);
 
-    // Resolve each external call through the declared edges, reading
-    // every candidate through the tracer — these reads ARE the actual
-    // accesses the declared graph is supposed to predict.
+    // Resolve each external call through the declared edges' exports:
+    // the files these calls resolve to are the TU's actual
+    // dependencies, which the declared graph is supposed to predict.
     std::set<std::string> UsedEdges;
     std::set<std::string> Unresolved = External;
     for (const std::string &Dep : Edges) {
       const std::set<std::string> &Exports =
-          exportedNames(Tracer, Dep, ExportCache);
+          exportedNames(FS, Dep, ExportCache);
       bool Used = false;
       for (auto It = Unresolved.begin(); It != Unresolved.end();) {
         if (Exports.count(*It)) {
@@ -216,7 +213,7 @@ DepVerifyReport DepVerifier::verify(
       for (const auto &[Candidate, Ignored] : Declared) {
         if (Candidate == TU)
           continue;
-        if (exportedNames(Tracer, Candidate, ExportCache).count(Sym)) {
+        if (exportedNames(FS, Candidate, ExportCache).count(Sym)) {
           if (MissingPaths.insert(Candidate).second) {
             DepFinding F;
             F.K = DepFinding::Kind::Missing;
@@ -253,7 +250,6 @@ DepVerifyReport DepVerifier::verify(
             [](const DepFinding &A, const DepFinding &B) {
               return A.reason() < B.reason();
             });
-  R.FilesTraced = static_cast<unsigned>(Tracer.distinctPathsTraced());
   return R;
 }
 

@@ -8,9 +8,9 @@
 /// Detects build-dependency errors the way "Detecting Build Dependency
 /// Errors in Incremental Builds" (arXiv 2404.13295) frames them: the
 /// build system *declares* a dependency graph (our ImportGraph), the
-/// compilation *actually* touches files (observed through a
-/// TracingFileSystem), and any disagreement is a bug with a concrete
-/// failure mode —
+/// compilation *actually* needs files (those its calls resolve to
+/// through their exports), and any disagreement is a bug with a
+/// concrete failure mode —
 ///
 ///   missing dep    a TU uses a file the graph does not track. An edit
 ///                  to that file will not recompile the TU:
@@ -64,7 +64,6 @@ struct DepFinding {
 struct DepVerifyReport {
   std::vector<DepFinding> Findings; // Sorted by reason text.
   unsigned TUsChecked = 0;          // TUs cross-checked.
-  unsigned FilesTraced = 0;         // Distinct files the tracer saw read.
   unsigned NumMissing = 0;
   unsigned NumRedundant = 0;
 
@@ -86,9 +85,9 @@ class DepVerifier {
 public:
   /// Cross-checks every TU in \p Declared (path -> tracked direct
   /// deps, i.e. the ImportGraph edges the build system will react to)
-  /// against the files the TU's compilation actually needs, observed
-  /// by re-resolving its external calls through a TracingFileSystem
-  /// over \p FS. \p Plant (optional) perturbs the declared edges
+  /// against the files the TU's compilation actually needs, found by
+  /// resolving its external calls through the exports of the files in
+  /// \p FS. \p Plant (optional) perturbs the declared edges
   /// first. Deterministic: TUs in sorted order, findings sorted.
   static DepVerifyReport
   verify(VirtualFileSystem &FS,

@@ -22,10 +22,9 @@ using namespace sc;
 
 namespace {
 
-// Record-size caps: the ledger is a log, not a trace archive. A build
-// with more TUs/samples than this keeps the slowest/heaviest ones.
+// Record-size cap: the ledger is a log, not a trace archive. A build
+// with more TUs than this keeps the slowest ones.
 constexpr size_t MaxRecordTUs = 50;
-constexpr size_t MaxRecordSamples = 32;
 
 /// Sorts \p V by \p Weight, heaviest first (ties by \p Name), and keeps
 /// at most \p Cap elements.
@@ -111,14 +110,6 @@ template <> struct JsonFields<HistoryPass> {
   }
 };
 
-template <> struct JsonFields<HistorySample> {
-  template <class R, class Fn> static void walk(R &X, Fn Do) {
-    Do("stack", X.Stack);
-    Do("samples", X.Samples);
-    Do("weight_ns", X.WeightNs);
-  }
-};
-
 template <class Rec> struct JsonFields<LedgerGroup<Rec>> {
   template <class G, class Fn> static void walk(G &X, Fn Do) {
     forEachBuildFact(X.Rec, [&](const BuildFact &F, auto &V) {
@@ -136,7 +127,6 @@ template <> struct JsonFields<HistoryRecord> {
     Do("dirty", X.DirtyTUs);
     Do("tus", X.TUs);
     Do("passes", X.Passes);
-    Do("samples", X.Samples);
     Do("counters", X.Counters);
     Do("gauges", X.Gauges);
     Do("warnings", X.WarningsCount);
@@ -301,7 +291,6 @@ HistoryRecord sc::makeHistoryRecord(const BuildStats &S,
   // holds earlier builds' events; the start-time filter scopes the
   // aggregation to this one.
   std::map<std::string, std::pair<uint64_t, uint64_t>> PassAgg; // us, count
-  std::vector<HistorySample> Samples;
   for (const TraceEvent &E : Events) {
     if (E.StartNs < BuildStartNs)
       continue;
@@ -313,13 +302,6 @@ HistoryRecord sc::makeHistoryRecord(const BuildStats &S,
       auto &Agg = PassAgg[E.Name];
       Agg.first += E.DurNs / 1000;
       ++Agg.second;
-    } else if (Cat == "sample" && E.K == TraceEvent::Kind::Instant) {
-      // SamplingProfiler::stop() writes a sample's args in the
-      // ledger's own shape.
-      HistorySample Smp;
-      decodeJson(E.ArgsJson, Smp);
-      if (!Smp.Stack.empty())
-        Samples.push_back(std::move(Smp));
     }
   }
 
@@ -328,9 +310,6 @@ HistoryRecord sc::makeHistoryRecord(const BuildStats &S,
     R.Passes.push_back({KV.first, KV.second.first, KV.second.second});
   heaviestFirst(R.Passes, &HistoryPass::DurUs, &HistoryPass::Name,
                 R.Passes.size());
-  heaviestFirst(Samples, &HistorySample::WeightNs, &HistorySample::Stack,
-                MaxRecordSamples);
-  R.Samples = std::move(Samples);
 
   if (Metrics) {
     // The build.* metrics restate facts the record already carries.

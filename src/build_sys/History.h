@@ -46,7 +46,8 @@ namespace sc {
 
 /// Current ledger record schema. Additive fields do not bump this
 /// (loaders skip unknown keys); removing or re-typing a field does.
-inline constexpr uint64_t HistorySchemaVersion = 1;
+/// Version 2 dropped the "samples" array; version-1 lines still load.
+inline constexpr uint64_t HistorySchemaVersion = 2;
 
 /// Wall-clock duration of one TU's compile (from its trace span).
 struct HistoryTU {
@@ -61,14 +62,6 @@ struct HistoryPass {
   uint64_t Count = 0; // Executions summed into DurUs.
 };
 
-/// One sampling-profiler aggregate (present when the build ran under
-/// --profile-sample-hz): a current-span stack and its observed weight.
-struct HistorySample {
-  std::string Stack; // Outermost-first span names joined with ';'.
-  uint64_t Samples = 0;
-  uint64_t WeightNs = 0;
-};
-
 /// One build, as the ledger remembers it: the build's facts (the
 /// BuildStats part, written and parsed by the list in BuildFacts.h)
 /// plus what only the ledger keeps.
@@ -76,9 +69,8 @@ struct HistoryRecord : BuildStats {
   uint64_t SchemaVersion = HistorySchemaVersion;
   uint64_t UnixMs = 0; // Wall-clock build end.
 
-  std::vector<HistoryTU> TUs;         // Slowest first, capped.
-  std::vector<HistoryPass> Passes;    // Aggregate per pass name.
-  std::vector<HistorySample> Samples; // Profiler aggregates, capped.
+  std::vector<HistoryTU> TUs;      // Slowest first, capped.
+  std::vector<HistoryPass> Passes; // Aggregate per pass name.
 
   // Metrics snapshot at build exit, minus the build.* facts the record
   // already carries: lock.* / pool.* / daemon.* / cache.* and whatever
@@ -146,8 +138,8 @@ public:
 /// Assembles a record from one finished build: the stats, a metrics
 /// snapshot, and the build's trace events (only those with
 /// StartNs >= \p BuildStartNs — a resident daemon's recorder holds
-/// older builds' events too) aggregated into per-TU durations,
-/// per-pass totals, and profiler samples.
+/// older builds' events too) aggregated into per-TU durations and
+/// per-pass totals.
 HistoryRecord makeHistoryRecord(const BuildStats &S,
                                 const MetricsRegistry *Metrics,
                                 const std::vector<TraceEvent> &Events,

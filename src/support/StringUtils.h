@@ -52,18 +52,6 @@ inline std::string_view trim(std::string_view S) {
   return S.substr(B, E - B + 1);
 }
 
-/// Joins items with a separator: join({"a","b"}, ", ") == "a, b".
-inline std::string joinStrings(const std::vector<std::string> &Items,
-                               std::string_view Sep) {
-  std::string Out;
-  for (size_t I = 0; I != Items.size(); ++I) {
-    if (I)
-      Out += Sep;
-    Out += Items[I];
-  }
-  return Out;
-}
-
 /// Strict decimal parse for numeric options: digits only, with a
 /// leading '-' when \p T is signed, so an empty string, a '+', a sign
 /// on an unsigned \p T ("-1"), trailing junk ("4x") or a value \p T

@@ -179,48 +179,6 @@ void TraceRecorder::setThreadName(std::string Name) {
   TL.Name = std::move(Name);
 }
 
-std::vector<std::pair<std::string, uint64_t>>
-TraceRecorder::droppedByThread() const {
-  std::lock_guard<std::mutex> Lock(Mu);
-  std::vector<std::pair<std::string, uint64_t>> Out;
-  Out.reserve(Logs.size());
-  for (const auto &TL : Logs)
-    Out.emplace_back(TL->Name, TL->Dropped.load(std::memory_order_relaxed));
-  return Out;
-}
-
-void TraceRecorder::pushCurrentSpan(const char *Category,
-                                    const std::string &Name) {
-  ThreadLog &TL = logForThisThread();
-  std::lock_guard<std::mutex> Lock(TL.RingMu);
-  TL.SpanStack.emplace_back(Category, &Name);
-}
-
-void TraceRecorder::popCurrentSpan() {
-  ThreadLog &TL = logForThisThread();
-  std::lock_guard<std::mutex> Lock(TL.RingMu);
-  if (!TL.SpanStack.empty())
-    TL.SpanStack.pop_back();
-}
-
-std::vector<std::string> TraceRecorder::sampleStacks() const {
-  std::lock_guard<std::mutex> Lock(Mu);
-  std::vector<std::string> Out;
-  for (const auto &TL : Logs) {
-    std::lock_guard<std::mutex> RingLock(TL->RingMu);
-    if (TL->SpanStack.empty())
-      continue;
-    std::string Stack;
-    for (const auto &Frame : TL->SpanStack) {
-      if (!Stack.empty())
-        Stack += ';';
-      Stack += *Frame.second;
-    }
-    Out.push_back(std::move(Stack));
-  }
-  return Out;
-}
-
 uint64_t TraceRecorder::droppedEvents() const {
   std::lock_guard<std::mutex> Lock(Mu);
   uint64_t Total = 0;

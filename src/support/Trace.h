@@ -135,40 +135,6 @@ public:
   /// Total events overwritten because a thread ring filled.
   uint64_t droppedEvents() const;
 
-  /// Per-thread drop counts (thread name -> events overwritten),
-  /// including zero entries, in tid order. The build driver folds the
-  /// nonzero ones into the merged trace metadata and --report-json so
-  /// a truncated trace never silently looks complete.
-  std::vector<std::pair<std::string, uint64_t>> droppedByThread() const;
-
-  //===--- Sampling-profiler support --------------------------------------===//
-  //
-  // When sampling is on, every live TraceSpan additionally maintains a
-  // per-thread current-span stack that SamplingProfiler snapshots at
-  // its tick rate. Off (the default) the only added cost per span is
-  // one relaxed load; a disabled recorder pays nothing at all — the
-  // zero-overhead assertions in bench_e8_micro hold either way.
-
-  bool samplingEnabled() const {
-    return Sampling.load(std::memory_order_relaxed);
-  }
-  void setSamplingEnabled(bool S) {
-    Sampling.store(S, std::memory_order_relaxed);
-  }
-
-  /// Pushes a frame onto the calling thread's current-span stack.
-  /// \p Name must stay valid (and unmutated) until the matching pop —
-  /// TraceSpan guarantees this by being immovable and popping before
-  /// it moves its name out.
-  void pushCurrentSpan(const char *Category, const std::string &Name);
-  void popCurrentSpan();
-
-  /// One rendered stack per thread with at least one live span:
-  /// outermost-first span names joined with ';' (e.g.
-  /// "build;compile;compile:util.mc;frontend:util.mc"). Safe to call
-  /// from the sampler thread while workers record.
-  std::vector<std::string> sampleStacks() const;
-
   /// Events currently held across all thread rings.
   size_t numEvents() const;
 
@@ -204,10 +170,6 @@ private:
     std::vector<TraceEvent> Ring;
     size_t Next = 0;                   // Overwrite cursor once full.
     std::atomic<uint64_t> Dropped{0};
-    /// Live (RAII) spans on this thread, outermost first; pointers
-    /// into the owning TraceSpans. Guarded by RingMu: the owner
-    /// pushes/pops, the sampler reads.
-    std::vector<std::pair<const char *, const std::string *>> SpanStack;
   };
 
   /// The calling thread's log, registering it on first use. The fast
@@ -217,7 +179,6 @@ private:
   void append(TraceEvent E);
 
   std::atomic<bool> Enabled;
-  std::atomic<bool> Sampling{false};
   const size_t Capacity;
   const uint64_t BaseNs;  // Trace epoch: ts 0 in the emitted JSON.
   const uint64_t Epoch;   // Unique per recorder instance; guards the
@@ -237,8 +198,6 @@ private:
 /// when it closes (end(), or the destructor), and from those two reads
 /// it:
 ///   * records the span event, when the recorder is on;
-///   * keeps a frame named after the span on the thread's current-span
-///     stack, when sampling is on;
 ///   * adds the elapsed microseconds to \p SlotUs, when one is given —
 ///     even when the recorder is off or null, so build statistics and
 ///     the trace are the same measurement.
@@ -251,15 +210,8 @@ public:
             double *SlotUs = nullptr)
       : R(R && R->enabled() ? R : nullptr), Category(Category),
         SlotUs(SlotUs) {
-    if (this->R) {
+    if (this->R)
       this->Name = std::move(Name);
-      if (this->R->samplingEnabled()) {
-        // The stack frame points at this->Name; valid because the
-        // span is immovable and pops before the name moves out.
-        this->R->pushCurrentSpan(Category, this->Name);
-        Pushed = true;
-      }
-    }
     StartNs = nowNanos();
   }
 
@@ -283,11 +235,8 @@ public:
     const uint64_t EndNs = nowNanos();
     if (SlotUs)
       *SlotUs += static_cast<double>(EndNs - StartNs) / 1000.0;
-    if (R) {
-      if (Pushed)
-        R->popCurrentSpan();
+    if (R)
       R->span(Category, std::move(Name), StartNs, EndNs, std::move(Args));
-    }
     return EndNs - StartNs;
   }
 
@@ -303,7 +252,6 @@ private:
   std::string Name;
   std::string Args;
   uint64_t StartNs = 0;
-  bool Pushed = false;
   bool Ended = false;
 };
 

@@ -14,7 +14,8 @@
 //  * a warm builder repopulates a cold fleet cache without recompiling;
 //  * any remote failure — daemon absent, daemon dies under a live
 //    connection — degrades the build to local-only with exactly one
-//    warning and never a failed build;
+//    warning and never a failed build, and the trace's `degrade`
+//    instant carries the reason as valid JSON;
 //  * ObjectCache distinguishes absent from corrupt local objects, so
 //    the tier (and these tests) can assert quarantine vs plain miss.
 //
@@ -27,7 +28,9 @@
 #include "cache_sys/CacheDaemon.h"
 #include "cache_sys/RemoteCacheClient.h"
 #include "driver/Compiler.h"
+#include "support/FlatJson.h"
 #include "support/Hashing.h"
+#include "support/Trace.h"
 #include "vm/VM.h"
 #include "workload/Workload.h"
 
@@ -147,6 +150,11 @@ void expectIdenticalFiles(InMemoryFileSystem &A, InMemoryFileSystem &B,
   }
 }
 
+/// The args of the trace's remote `degrade` instant.
+struct DegradeArgs {
+  std::string Reason;
+};
+
 unsigned remoteWarnings(const BuildStats &Stats) {
   unsigned N = 0;
   for (const std::string &W : Stats.Warnings)
@@ -156,6 +164,12 @@ unsigned remoteWarnings(const BuildStats &Stats) {
 }
 
 } // namespace
+
+template <> struct sc::JsonFields<DegradeArgs> {
+  template <class R, class Fn> static void walk(R &X, Fn Do) {
+    Do("reason", X.Reason);
+  }
+};
 
 TEST(RemoteTiering, ColdWorkspaceAgainstWarmCacheCompilesNothing) {
   DaemonFixture Daemon;
@@ -339,6 +353,36 @@ TEST(RemoteTiering, AbsentDaemonDegradesWithExactlyOneWarning) {
   ASSERT_TRUE(S2.Success);
   EXPECT_EQ(remoteWarnings(S2), 0u);
   EXPECT_EQ(S2.RemoteErrors, 0u);
+}
+
+TEST(RemoteTiering, DegradeTraceReasonQuotingThePathIsValidJson) {
+  // Too long for a Unix socket address, so the connect error quotes
+  // the path, quote and backslash included.
+  std::string Path = "/tmp/sc-\"degrade\"\\";
+  Path.resize(120, 'x');
+  InMemoryFileSystem FS;
+  renderProject(FS);
+  TraceRecorder Trace;
+  BuildOptions Options = remoteOptions(Path);
+  Options.Compiler.Trace = &Trace;
+  BuildDriver Driver(FS, Options);
+  BuildStats S = Driver.build();
+  ASSERT_TRUE(S.Success) << S.ErrorText;
+  ASSERT_EQ(remoteWarnings(S), 1u);
+
+  unsigned Degrades = 0;
+  for (const TraceEvent &E : Trace.snapshot()) {
+    if (std::string(E.Category) != "remote" || E.Name != "degrade")
+      continue;
+    ++Degrades;
+    DegradeArgs Args;
+    ASSERT_TRUE(decodeJson(E.ArgsJson, Args)) << E.ArgsJson;
+    EXPECT_NE(Args.Reason.find(Path), std::string::npos) << Args.Reason;
+    // The warning names the same reason, byte for byte.
+    EXPECT_EQ(S.Warnings[0], "remote cache '" + Path + "' is unavailable (" +
+                                 Args.Reason + "); continuing local-only");
+  }
+  EXPECT_EQ(Degrades, 1u);
 }
 
 TEST(RemoteTiering, DaemonDeathUnderLiveConnectionDegradesGracefully) {

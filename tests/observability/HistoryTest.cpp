@@ -71,7 +71,6 @@ HistoryRecord sampleRecord() {
   R.TotalUs = 300;
   R.TUs = {{"bravo.mc", 150}, {"alpha.mc", 90}};
   R.Passes = {{"dse", 120, 6}, {"mem2reg", 20, 6}};
-  R.Samples = {{"build;compile;compile:bravo.mc;middle", 4, 1000000}};
   R.Counters["build.files_compiled"] = 2;
   R.Counters["lock.acquire_waits"] = 1;
   R.Gauges["daemon.queue_depth"] = 0;
@@ -107,9 +106,6 @@ TEST(HistoryCodec, RoundTripPreservesEveryField) {
   ASSERT_EQ(Out.Passes.size(), 2u);
   EXPECT_EQ(Out.Passes[0].Name, "dse");
   EXPECT_EQ(Out.Passes[0].Count, 6u);
-  ASSERT_EQ(Out.Samples.size(), 1u);
-  EXPECT_EQ(Out.Samples[0].Stack, "build;compile;compile:bravo.mc;middle");
-  EXPECT_EQ(Out.Samples[0].WeightNs, 1000000u);
   EXPECT_EQ(Out.Counters.at("build.files_compiled"), 2u);
   EXPECT_EQ(Out.Gauges.count("daemon.queue_depth"), 1u);
   EXPECT_EQ(Out.WarningsCount, 1u);
@@ -223,15 +219,33 @@ std::vector<std::string> ledgerLines(VirtualFileSystem &FS) {
   return Lines;
 }
 
-/// A line whose checksum verifies but whose body is not a record.
-std::string checksummedGarbage() {
-  const std::string Body =
-      "{\"schema\":\"scbuild-history\",\"build\":[unterminated";
+/// \p Body (a ledger record up to its `,"crc"` suffix) made a line
+/// whose checksum verifies.
+std::string withCrc(const std::string &Body) {
   char Crc[32];
   std::snprintf(Crc, sizeof(Crc), "%016llx",
                 static_cast<unsigned long long>(
                     HashBuilder().addString(Body).digest()));
   return Body + ",\"crc\":\"" + Crc + "\"}";
+}
+
+/// A line whose checksum verifies but whose body is not a record.
+std::string checksummedGarbage() {
+  return withCrc("{\"schema\":\"scbuild-history\",\"build\":[unterminated");
+}
+
+/// Record \p R as a schema-1 writer wrote it: version 1, and a
+/// "samples" array (sampled span stacks) after "passes".
+std::string schemaOneLine(const HistoryRecord &R) {
+  const std::string Line = BuildHistory::serializeRecord(R);
+  std::string Body = Line.substr(0, Line.rfind(",\"crc\":"));
+  const std::string V2 = "\"schema_version\":2,";
+  Body.replace(Body.find(V2), V2.size(), "\"schema_version\":1,");
+  Body.insert(Body.find("\"counters\":"),
+              R"("samples":[{"stack":"build;compile;compile:bravo.mc",)"
+              R"("samples":4,"weight_ns":1000000},{"stack":"build;scan",)"
+              R"("samples":1,"weight_ns":250000}],)");
+  return withCrc(Body);
 }
 
 } // namespace
@@ -289,6 +303,49 @@ TEST(HistoryLedger, DamagedNewestLineNeverReusesAnId) {
     for (size_t I = 0; I != L.Records.size(); ++I)
       EXPECT_EQ(L.Records[I].BuildId, I + 1);
   }
+}
+
+TEST(HistoryLedger, SchemaOneLedgerLoadsTakesAppendsAndAnalyzes) {
+  InMemoryFileSystem FS;
+  std::string Ledger;
+  for (uint64_t Id = 1; Id <= 3; ++Id) {
+    HistoryRecord R = sampleRecord();
+    R.BuildId = Id;
+    Ledger += schemaOneLine(R) + "\n";
+  }
+  ASSERT_NE(Ledger.find("\"samples\":[{"), std::string::npos);
+  FS.writeFile(LedgerPath, Ledger);
+
+  HistoryLoadResult L = BuildHistory::load(FS, LedgerPath);
+  EXPECT_EQ(L.Skipped, 0u);
+  ASSERT_EQ(L.Records.size(), 3u);
+  EXPECT_EQ(L.Records[2].SchemaVersion, 1u);
+  EXPECT_EQ(L.Records[2].BuildId, 3u);
+  EXPECT_EQ(L.Records[2].Passes.size(), 2u);
+
+  HistoryRecord New = sampleRecord();
+  uint64_t Skipped = 0;
+  ASSERT_TRUE(BuildHistory::append(FS, LedgerPath, New, 10, &Skipped));
+  EXPECT_EQ(Skipped, 0u);
+  EXPECT_EQ(New.BuildId, 4u);
+  const std::string After = *FS.readFile(LedgerPath);
+  EXPECT_EQ(After.substr(0, Ledger.size()), Ledger)
+      << "schema-1 lines must be kept byte for byte";
+  EXPECT_EQ(After.find("\"samples\"", Ledger.size()), std::string::npos);
+  L = BuildHistory::load(FS, LedgerPath);
+  EXPECT_EQ(L.Skipped, 0u);
+  ASSERT_EQ(L.Records.size(), 4u);
+  EXPECT_EQ(L.Records[3].SchemaVersion, HistorySchemaVersion);
+
+  AnalyzeOptions Opt;
+  Opt.Json = true;
+  Opt.BuildId = 3;
+  Opt.AgainstId = 2;
+  AnalyzeResult R = analyzeHistory(FS, LedgerPath, Opt);
+  ASSERT_TRUE(R.OK) << R.Error;
+  EXPECT_NE(R.Text.find("\"schema_version\": 2"), std::string::npos);
+  EXPECT_NE(R.Text.find("\"build\": 3"), std::string::npos);
+  EXPECT_EQ(R.Text.find("\"samples\""), std::string::npos);
 }
 
 TEST(HistoryLedger, FullDefaultLedgerStaysAtLimitAfterAppend) {
@@ -538,7 +595,7 @@ TEST(Analyze, JsonCarriesSchemaAndSlowestNodes) {
   AnalyzeResult R = analyzeHistory(FS, LedgerPath, Opt);
   ASSERT_TRUE(R.OK) << R.Error;
   EXPECT_NE(R.Text.find("\"schema\": \"scbuild-analyze\""), std::string::npos);
-  EXPECT_NE(R.Text.find("\"schema_version\": 1"), std::string::npos);
+  EXPECT_NE(R.Text.find("\"schema_version\": 2"), std::string::npos);
   EXPECT_NE(R.Text.find("\"slowest_tu\": {\"name\": \"bravo.mc\""),
             std::string::npos);
   EXPECT_NE(R.Text.find("\"slowest_pass\": {\"name\": \"dse\""),

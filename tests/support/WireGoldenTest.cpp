@@ -47,7 +47,6 @@ HistoryRecord goldenRecord() {
   R.RemoteRoundTrips = 1;
   R.TUs = {{"bravo.mc", 150}, {"alpha.mc", 90}};
   R.Passes = {{"dse", 120, 6}, {"mem2reg", 20, 6}};
-  R.Samples = {{"build;compile;compile:bravo.mc;middle", 4, 1000000}};
   R.Counters["lock.acquire_waits"] = 1;
   R.Counters["pool.steals"] = 123456789012ull;
   R.Gauges["daemon.queue_depth"] = 0;
@@ -61,13 +60,11 @@ HistoryRecord goldenRecord() {
 // Split only for width; the line is one string with no whitespace.
 const std::string GoldenLedgerLine =
     std::string(
-        R"({"schema":"scbuild-history","schema_version":1,"build":42,)"
+        R"({"schema":"scbuild-history","schema_version":2,"build":42,)"
         R"("unix_ms":1700000000123,"dirty":["alpha.mc","b \"q\".mc"],)"
         R"("tus":[{"name":"bravo.mc","us":150},{"name":"alpha.mc","us":90}],)"
         R"("passes":[{"name":"dse","us":120,"count":6},)"
         R"({"name":"mem2reg","us":20,"count":6}],)"
-        R"("samples":[{"stack":"build;compile;compile:bravo.mc;middle",)"
-        R"("samples":4,"weight_ns":1000000}],)"
         R"("counters":{"lock.acquire_waits":1,"pool.steals":123456789012},)"
         R"("gauges":{"daemon.queue_depth":0,"pool.busy_ratio":0.125,)"
         R"("x.big":1.5e+12},"warnings":1,"success":false,"read_only":false,)"
@@ -77,7 +74,7 @@ const std::string GoldenLedgerLine =
         R"("skip":{"run":14,"skipped":40},"remote":{"hits":3,"round_trips":1},)"
         R"("trace":{"events_dropped":0},"history":{"build_id":42},)"
         R"("error":"main.mc:1: error: bad \"x\"\n\ttab",)") +
-    R"("crc":"47588deed3d0fa45"})";
+    R"("crc":"ad92947a950d265e"})";
 
 /// \p Body (a ledger record up to its `,"crc"` suffix) made a valid line.
 std::string withCrc(const std::string &Body) {
@@ -99,7 +96,7 @@ TEST(WireGolden, LedgerLineBytes) {
 TEST(WireGolden, LedgerLineValues) {
   HistoryRecord R;
   ASSERT_TRUE(BuildHistory::parseRecord(GoldenLedgerLine, R));
-  EXPECT_EQ(R.SchemaVersion, 1u);
+  EXPECT_EQ(R.SchemaVersion, 2u);
   EXPECT_EQ(R.BuildId, 42u);
   EXPECT_EQ(R.UnixMs, 1700000000123ull);
   EXPECT_FALSE(R.Success);
@@ -118,8 +115,6 @@ TEST(WireGolden, LedgerLineValues) {
   ASSERT_EQ(R.Passes.size(), 2u);
   EXPECT_EQ(R.Passes[1].Name, "mem2reg");
   EXPECT_EQ(R.Passes[1].Count, 6u);
-  ASSERT_EQ(R.Samples.size(), 1u);
-  EXPECT_EQ(R.Samples[0].WeightNs, 1000000u);
   EXPECT_EQ(R.Counters.at("pool.steals"), 123456789012ull);
   EXPECT_EQ(R.Gauges.at("pool.busy_ratio"), 0.125);
   EXPECT_EQ(R.Gauges.at("x.big"), 1.5e12);

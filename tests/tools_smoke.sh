@@ -491,7 +491,8 @@ assert len(recs) == 3, f"expected 3 records, got {len(recs)}"
 assert [r["build"] for r in recs] == [1, 2, 3]
 assert [r["success"] for r in recs] == [True, True, False]
 for r in recs:
-    assert r["schema"] == "scbuild-history" and r["schema_version"] == 1
+    assert r["schema"] == "scbuild-history" and r["schema_version"] == 2
+    assert "samples" not in r, "schema 2 dropped the samples array"
     crc = r["crc"]
     assert len(crc) == 16 and all(c in "0123456789abcdef" for c in crc)
 # The incremental build's dirty set is smaller than the clean build's.
@@ -510,8 +511,9 @@ grep -q "vs build 1" adiff.log || {
 python3 - <<'PYEOF' || { echo "FAIL: analyze JSON invalid"; exit 1; }
 import json
 doc = json.load(open("analyze.json"))
-assert doc["schema"] == "scbuild-analyze" and doc["schema_version"] == 1
+assert doc["schema"] == "scbuild-analyze" and doc["schema_version"] == 2
 assert doc["build"] == 2 and doc["against"] == 1
+assert "samples" not in doc, "schema 2 dropped the samples array"
 assert doc["slowest_tu"]["name"], "no slowest TU named"
 assert "critical_path" in doc and doc["critical_path"]
 assert "diff" in doc
@@ -771,6 +773,11 @@ OUT="$("$SCBUILD" autostart --daemon=auto-start --exact -O1 --quiet --run)"
 STATUS="$("$SCBUILD" autostart --daemon-status)"
 echo "$STATUS" | grep -q "builds served 1" || {
   echo "FAIL: auto-started daemon did not serve the build: $STATUS"; exit 1; }
+# It idles out on its own, so it cannot keep out/.lock forever.
+AUTO_PID="$(echo "$STATUS" | sed -n 's/^scbuildd: pid \([0-9]*\).*/\1/p' | head -1)"
+[ -n "$AUTO_PID" ] && tr '\0' '\n' < "/proc/$AUTO_PID/cmdline" |
+  grep -q '^--idle-timeout-ms=' || {
+  echo "FAIL: auto-started daemon (pid '$AUTO_PID') has no idle timeout"; exit 1; }
 set +e
 "$SCBUILD" autostart --daemon --quiet 2> autostart.err
 RC=$?

@@ -212,7 +212,7 @@ def check_history(ledger_path):
             if rec.get("schema") != "scbuild-history":
                 fail(f"line {lineno}: schema is {rec.get('schema')!r}, "
                      "expected 'scbuild-history'")
-            if rec.get("schema_version") != 1:
+            if rec.get("schema_version") != 2:
                 fail(f"line {lineno}: unexpected schema_version "
                      f"{rec.get('schema_version')!r}")
             crc = rec.get("crc", "")
@@ -233,7 +233,7 @@ def check_history(ledger_path):
         if missing:
             fail(f"record(s) {missing} lack the '{key}' field")
     print(f"OK: {len(records)} ledger record(s), ids {ids[0]}..{ids[-1]} "
-          "monotone, schema v1, checksums well-formed")
+          "monotone, schema v2, checksums well-formed")
     sys.exit(0)
 
 

@@ -61,6 +61,10 @@ using namespace sc;
 
 namespace {
 
+/// How long an auto-started daemon may sit without a request before it
+/// exits and releases out/.lock: 3 h, Bazel's --max_idle_secs default.
+constexpr unsigned AutoStartIdleTimeoutMs = 3 * 60 * 60 * 1000;
+
 /// Launches `scbuildd` (found next to this executable) detached, with
 /// its stdio under <dir>/out/.daemon.log, then waits for the socket to
 /// appear. Returns a connected client (disconnected on failure).
@@ -81,6 +85,8 @@ DaemonClient autoStartDaemon(const std::string &Dir, const std::string &Sock,
   std::vector<std::string> Args = {Daemon, Dir};
   for (std::string &A : buildConfigArgs(Options))
     Args.push_back(std::move(A));
+  Args.push_back("--idle-timeout-ms=" +
+                 std::to_string(AutoStartIdleTimeoutMs));
 
   const std::string LogDir = Dir + "/" + Options.OutDir;
   ::mkdir(LogDir.c_str(), 0755); // Best effort; scbuildd creates it too.
@@ -161,9 +167,6 @@ int main(int argc, char **argv) {
        {"--history-limit=N", Flag::Number,
         "keep at most N records in out/history.jsonl (default 512; 0 = off)",
         &Options.HistoryLimit},
-       {"--profile-sample-hz=N", Flag::Number,
-        "sample span stacks N times a second into trace and ledger (0 = off)",
-        &Options.ProfileSampleHz},
        {"--explain TU[:pass]", Flag::Value,
         "replay why each pass ran or slept for TU in the last build",
         &ExplainQ},
