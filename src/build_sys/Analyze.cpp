@@ -133,24 +133,6 @@ std::vector<DiffEntry> diffRecords(const HistoryRecord &Now,
   return Out;
 }
 
-/// Lock families by wait time, heaviest first, from the record's
-/// counter snapshot (cumulative for the recording process).
-std::vector<std::pair<std::string, uint64_t>>
-lockWaits(const HistoryRecord &R) {
-  std::vector<std::pair<std::string, uint64_t>> Out;
-  for (const auto &KV : R.Counters) {
-    const std::string &K = KV.first;
-    if (K.compare(0, 5, "lock.") == 0 &&
-        K.size() > 8 + 5 && K.compare(K.size() - 8, 8, ".wait_ns") == 0 &&
-        KV.second)
-      Out.emplace_back(K.substr(5, K.size() - 5 - 8), KV.second);
-  }
-  std::sort(Out.begin(), Out.end(), [](const auto &A, const auto &B) {
-    return A.second != B.second ? A.second > B.second : A.first < B.first;
-  });
-  return Out;
-}
-
 uint64_t counterOr0(const HistoryRecord &R, const char *Name) {
   auto It = R.Counters.find(Name);
   return It == R.Counters.end() ? 0 : It->second;
@@ -160,7 +142,7 @@ std::string renderJson(const HistoryRecord &R, const HistoryRecord *Base,
                        unsigned TopN) {
   std::string J = "{\n";
   J += "  \"schema\": \"scbuild-analyze\",\n";
-  J += "  \"schema_version\": 2,\n";
+  J += "  \"schema_version\": 3,\n";
   J += "  \"build\": " + std::to_string(R.BuildId) + ",\n";
   if (Base)
     J += "  \"against\": " + std::to_string(Base->BuildId) + ",\n";
@@ -219,17 +201,6 @@ std::string renderJson(const HistoryRecord &R, const HistoryRecord *Base,
          ", \"count\": " + std::to_string(R.Passes[I].Count) + "}";
   }
   J += "],\n";
-
-  J += "  \"lock_wait_ns\": {";
-  First = true;
-  for (const auto &KV : lockWaits(R)) {
-    if (!First)
-      J += ", ";
-    First = false;
-    appendJsonString(J, KV.first);
-    J += ": " + std::to_string(KV.second);
-  }
-  J += "},\n";
 
   J += "  \"pool\": {\"tasks_executed\": " +
        std::to_string(counterOr0(R, "pool.tasks_executed")) +
@@ -308,17 +279,6 @@ std::string renderHuman(const HistoryRecord &R, const HistoryRecord *Base,
     }
   }
 
-  const auto Waits = lockWaits(R);
-  if (!Waits.empty()) {
-    O += "\nlock wait (cumulative for the recording process):\n";
-    for (size_t I = 0; I != Waits.size() && I != TopN; ++I) {
-      char Line[256];
-      std::snprintf(Line, sizeof(Line), "  %-28s %9s ms\n",
-                    Waits[I].first.c_str(),
-                    ms(Waits[I].second / 1000).c_str());
-      O += Line;
-    }
-  }
   if (const uint64_t Tasks = counterOr0(R, "pool.tasks_executed")) {
     O += "\npool: " + std::to_string(Tasks) + " tasks, " +
          std::to_string(counterOr0(R, "pool.steals")) + " steals, " +

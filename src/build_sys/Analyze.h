@@ -10,7 +10,7 @@
 /// live process, no trace file in hand. For one build it renders the
 /// critical path scan -> compile -> slowest TU -> slowest pass -> link
 /// with per-node self/total times, the top-N bottleneck TUs and
-/// passes, and lock-wait and pool attribution. With `--against=ID` it
+/// passes, and pool attribution. With `--against=ID` it
 /// also diffs two builds into new/slower/faster/fixed nodes carrying
 /// stable reason codes, in the spirit of `scbuild --explain`.
 ///

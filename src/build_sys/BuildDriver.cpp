@@ -24,7 +24,6 @@
 #include "cache_sys/RemoteCacheClient.h"
 #include "codegen/ObjectFile.h"
 #include "support/AtomicFile.h"
-#include "support/ContentionStats.h"
 #include "support/FileLock.h"
 #include "support/FlatJson.h"
 #include "support/Hashing.h"
@@ -110,10 +109,10 @@ private:
   TraceRecorder *trace() const { return Options.Compiler.Trace; }
   bool tracing() const { return trace() && trace()->enabled(); }
 
-  /// Publishes this build's lock.* and pool.* deltas. Runs before the
-  /// ledger append, which snapshots them into the record; the build.*
-  /// facts are published after it (publishBuildFacts).
-  void publishContention();
+  /// Publishes this build's pool.* deltas. Runs before the ledger
+  /// append, which snapshots them into the record; the build.* facts
+  /// are published after it (publishBuildFacts).
+  void publishPoolStats();
 
   /// Appends this build's record to the history ledger
   /// (build_sys/History.h) on every exit path, success and failure
@@ -186,32 +185,9 @@ private:
   /// only because a dependency's implementation changed.
   FingerprintMemo FPMemo;
 
-  /// The instrumented lock families, each published as lock.<name>.*.
-  static constexpr std::pair<const char *, ContentionCounters &(*)()>
-      LockFamilies[] = {{"constants", constantUniquingContention},
-                        {"shared_users", sharedUseContention},
-                        {"statefulpolicy", statefulPolicyContention},
-                        {"fpmemo", fingerprintMemoContention},
-                        {"statedb", stateDBContention},
-                        {"analysis_slots", analysisSlotContention}};
-
-  /// Lock-contention and pool-scheduling counters sampled at build()
-  /// entry; publishContention() publishes the per-build DELTAS as lock.*
-  /// and pool.* metrics (the counters themselves are cumulative — the
-  /// contention ones process-wide, the pool ones per driver).
-  struct HotPathSnapshots {
-    ContentionSnapshot Locks[std::size(LockFamilies)];
-    TaskPoolStats Pool;
-  };
-  HotPathSnapshots BuildStartSnap;
-
-  HotPathSnapshots captureHotPathSnapshots() const {
-    HotPathSnapshots Snap;
-    for (size_t I = 0; I != std::size(LockFamilies); ++I)
-      Snap.Locks[I] = snapshot(LockFamilies[I].second());
-    Snap.Pool = Pool->stats();
-    return Snap;
-  }
+  /// The pool's cumulative scheduling counters at build() entry;
+  /// publishPoolStats() publishes the per-build deltas as pool.*.
+  TaskPoolStats PoolAtBuildStart;
 
   /// Persisted state is loaded once per driver; later builds trust the
   /// in-memory copies and only write.
@@ -381,23 +357,12 @@ void sc::publishBuildFacts(const BuildStats &S, MetricsRegistry &M) {
   M.counter("build.history_appends").add(S.BuildId ? 1 : 0);
 }
 
-void BuildDriverImpl::publishContention() {
+void BuildDriverImpl::publishPoolStats() {
   MetricsRegistry *M = Options.Compiler.Metrics;
   if (!M)
     return;
-  // Lock-wait and pool-scheduling deltas for this build: contention on
-  // the compiler's shared structures as first-class, regression-
-  // trackable numbers (docs/OBSERVABILITY.md "Lock-wait metrics").
-  const HotPathSnapshots Now = captureHotPathSnapshots();
-  for (size_t I = 0; I != std::size(LockFamilies); ++I) {
-    const ContentionSnapshot &B = BuildStartSnap.Locks[I], &A = Now.Locks[I];
-    const std::string P = std::string("lock.") + LockFamilies[I].first;
-    M->counter(P + ".acquisitions").add(A.Acquisitions - B.Acquisitions);
-    M->counter(P + ".contended").add(A.Contended - B.Contended);
-    M->counter(P + ".wait_ns").add(A.WaitNs - B.WaitNs);
-  }
-  const TaskPoolStats &P0 = BuildStartSnap.Pool;
-  const TaskPoolStats &P1 = Now.Pool;
+  const TaskPoolStats &P0 = PoolAtBuildStart;
+  const TaskPoolStats P1 = Pool->stats();
   M->counter("pool.tasks_executed").add(P1.TasksExecuted - P0.TasksExecuted);
   M->counter("pool.steal_attempts").add(P1.StealAttempts - P0.StealAttempts);
   M->counter("pool.steals").add(P1.Steals - P0.Steals);
@@ -437,7 +402,7 @@ void BuildDriverImpl::appendHistory(BuildStats &S, uint64_t BuildStartNs) {
 
 BuildStats BuildDriverImpl::build() {
   BuildStats S;
-  BuildStartSnap = captureHotPathSnapshots();
+  PoolAtBuildStart = Pool->stats();
 
   const uint64_t TraceDropped0 = tracing() ? trace()->droppedEvents() : 0;
   TraceSpan BuildSpan(trace(), "build", "build");
@@ -528,7 +493,7 @@ BuildStats BuildDriverImpl::build() {
                " event(s) were dropped — the emitted trace is truncated "
                "(oldest events lost first)");
   }
-  publishContention();
+  publishPoolStats();
   appendHistory(S, BuildSpan.startNs());
   if (MetricsRegistry *M = Options.Compiler.Metrics)
     publishBuildFacts(S, *M);

@@ -285,7 +285,7 @@ void BuildDaemon::countEvent(Event E, uint64_t N) {
 
 BuildStats BuildDaemon::lastBuildStats() const {
   std::lock_guard<std::mutex> L(Mu);
-  return LastStats;
+  return LastStats.value_or(BuildStats());
 }
 
 void BuildDaemon::publishGauges() {
@@ -326,14 +326,12 @@ std::string BuildDaemon::statusText() const {
        ", busy rejections " + std::to_string(S.BusyRejections) +
        ", request timeouts " + std::to_string(S.RequestTimeouts) +
        ", disconnects " + std::to_string(S.Disconnects) + "\n";
-  DaemonFrame Last;
-  {
-    std::lock_guard<std::mutex> L(Mu);
-    Last = LastExit;
-  }
-  if (Last.HasStats) {
-    T += "scbuildd: last build: compiled " + std::to_string(Last.Compiled) +
-         "/" + std::to_string(Last.Total) + ", interface scans " +
+  std::lock_guard<std::mutex> L(Mu);
+  if (LastStats) {
+    const BuildStats &Last = *LastStats;
+    T += "scbuildd: last build: compiled " +
+         std::to_string(Last.FilesCompiled) + "/" +
+         std::to_string(Last.FilesTotal) + ", interface scans " +
          std::to_string(Last.InterfaceScans) + " (cache hits " +
          std::to_string(Last.ScanCacheHits) + "), objects parsed " +
          std::to_string(Last.ObjectsParsed) + "\n";
@@ -413,8 +411,7 @@ void BuildDaemon::runJob(const std::shared_ptr<BuildJob> &Job) {
 
   {
     std::lock_guard<std::mutex> L(Mu);
-    LastExit = X;
-    LastStats = Stats;
+    LastStats = std::move(Stats);
     Job->Done = true;
   }
   DoneCV.notify_all();

@@ -80,6 +80,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -349,7 +350,7 @@ private:
   FileLock Lock;
   std::unique_ptr<BuildDriver> Driver;
 
-  /// Queue state. Mu guards Queue, Draining, LastExit, LastStats, and
+  /// Queue state. Mu guards Queue, Draining, LastStats, and
   /// every BuildJob's fields; JobsCV wakes the builder, DoneCV wakes
   /// waiters (broadcast — waiter counts are small).
   mutable std::mutex Mu;
@@ -382,8 +383,8 @@ private:
       Events{};
   std::atomic<uint32_t> QueueHighWater{0};
 
-  DaemonFrame LastExit; ///< Exit frame of the most recent build (Mu).
-  BuildStats LastStats; ///< Stats of the most recent build (Mu).
+  /// Stats of the most recent build; empty before the first (Mu).
+  std::optional<BuildStats> LastStats;
 };
 
 } // namespace sc

@@ -73,7 +73,7 @@ struct HistoryRecord : BuildStats {
   std::vector<HistoryPass> Passes; // Aggregate per pass name.
 
   // Metrics snapshot at build exit, minus the build.* facts the record
-  // already carries: lock.* / pool.* / daemon.* / cache.* and whatever
+  // already carries: pool.* / daemon.* / cache.* and whatever
   // else the registry holds.
   std::map<std::string, uint64_t> Counters;
   std::map<std::string, double> Gauges;

@@ -49,13 +49,6 @@ std::vector<CompileResult> compileInParallel(const std::vector<CompileJob> &Jobs
                                              const CompilerOptions &Options,
                                              BuildStateDB *DB, TaskPool &Pool);
 
-/// Convenience overload owning a transient pool of \p NumThreads
-/// (1 = in the calling thread, no threads spawned).
-std::vector<CompileResult> compileInParallel(const std::vector<CompileJob> &Jobs,
-                                             const CompilerOptions &Options,
-                                             BuildStateDB *DB,
-                                             unsigned NumThreads);
-
 } // namespace sc
 
 #endif // SC_BUILD_SYS_SCHEDULER_H

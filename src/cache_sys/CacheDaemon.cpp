@@ -128,34 +128,31 @@ bool CacheDaemon::serveRequest(UnixSocket &Conn, const std::string &Header) {
 
 bool CacheDaemon::serveLookup(UnixSocket &Conn, const CacheRequest &Req) {
   const bool Get = Req.Operation == CacheRequest::Op::Get;
-  const bool Entry = Req.Kind == "entry";
   std::vector<uint64_t> Keys, Digests;
   CacheResponse Resp;
   if (!parseHex16List(Req.Key, Keys) || Keys.size() > CacheMaxBatch ||
-      (!Entry && Req.Kind != "obj") ||
-      (Entry && !Get &&
-       (!parseHex16List(Req.Digest, Digests) ||
-        Digests.size() != Keys.size()))) {
+      Req.Kind != "entry" ||
+      (!Get && (!parseHex16List(Req.Digest, Digests) ||
+                Digests.size() != Keys.size()))) {
     Resp.Error = "bad key or kind";
     return send(Conn, encodeCacheResponse(Resp)); // Still in sync.
   }
   std::vector<std::string> Objects;
   for (size_t I = 0; I != Keys.size(); ++I) {
-    uint64_t Digest = Digests.empty() ? Keys[I] : Digests[I];
+    uint64_t Digest = Get ? 0 : Digests[I];
     std::string Bytes;
     bool Found;
     if (Get) {
-      Found = (!Entry || Store->getAction(Keys[I], Digest)) &&
+      Found = Store->getAction(Keys[I], Digest) &&
               Store->getObject(Digest, Bytes);
     } else {
-      Found = !Entry || Store->touch(CacheStore::Kind::Action, Keys[I]);
+      Found = Store->touch(CacheStore::Kind::Action, Keys[I]);
       Found = Store->touch(CacheStore::Kind::Object, Digest) && Found;
     }
     Resp.Mask += Found ? '1' : '0';
     if (Found && Get) {
       Objects.push_back(std::move(Bytes));
-      if (Entry)
-        Resp.Digest += hex16(Digest);
+      Resp.Digest += hex16(Digest);
     }
   }
   Resp.Ok = true;

@@ -22,11 +22,12 @@
 /// cold workspace resolve inputs -> digest -> verified bytes; a corrupt
 /// one leads to a miss, never to wrong bytes.
 ///
-/// Requests name `entry` (an action and its object) or, for get/touch
-/// by digest, `obj`. A put carries one input key and its digest. A get
-/// or touch carries one to CacheMaxBatch hex16 keys back to back (a
-/// touch also one digest per key); the response's `mask` holds '1'
-/// (found) or '0' per key, and a get's `digest` lists the found digests.
+/// Requests name kind `entry` (an action and its object); any other
+/// kind is answered `bad key or kind`. A put carries one input key and
+/// its digest. A get or touch carries one to CacheMaxBatch hex16 keys
+/// back to back (a touch also one digest per key); the response's
+/// `mask` holds '1' (found) or '0' per key, and a get's `digest` lists
+/// the found digests.
 /// Daemons that predate batching reject `entry` as a bad request.
 /// Messages go through the one field-list codec (support/FlatJson.h):
 /// a field that is empty, zero or false is not written, an absent key
@@ -117,7 +118,7 @@ struct CacheRequest {
   /// offline views agree field-for-field).
   enum class Op { Get, Put, Touch, Stats, Metrics, Shutdown };
   Op Operation = Op::Stats;
-  std::string Kind;   ///< "entry" or "obj"; empty for stats/shutdown.
+  std::string Kind;   ///< "entry"; empty for stats/shutdown.
   std::string Key;    ///< hex16 entry key (get/touch: one or more).
   std::string Digest; ///< put/touch entry: hex16 object digest(s).
   uint64_t Size = 0;  ///< put: byte count of the following binary frame.

@@ -15,7 +15,6 @@
 #include "ir/StructuralHash.h"
 #include "ir/Verifier.h"
 #include "lang/Parser.h"
-#include "support/ContentionStats.h"
 #include "support/Hashing.h"
 #include "support/Metrics.h"
 #include "support/TaskPool.h"
@@ -38,7 +37,7 @@ Compiler::Compiler(CompilerOptions Options, BuildStateDB *DB)
 bool FingerprintMemo::lookup(uint64_t Key,
                              std::map<std::string, uint64_t> &Out) const {
   const Shard &S = shardFor(Key);
-  auto Lock = timedLock(S.Mu, fingerprintMemoContention());
+  std::lock_guard<std::mutex> Lock(S.Mu);
   auto It = S.Entries.find(Key);
   if (It == S.Entries.end())
     return false;
@@ -49,7 +48,7 @@ bool FingerprintMemo::lookup(uint64_t Key,
 void FingerprintMemo::insert(uint64_t Key,
                              std::map<std::string, uint64_t> Fingerprints) {
   Shard &S = shardFor(Key);
-  auto Lock = timedLock(S.Mu, fingerprintMemoContention());
+  std::lock_guard<std::mutex> Lock(S.Mu);
   S.Entries[Key] = std::move(Fingerprints);
 }
 
@@ -349,15 +348,7 @@ CompileResult Compiler::compile(const std::string &TUKey,
           Rec.CachedCode = writeFunctionBlob(MF);
       }
     }
-    if (Options.DeferStateWrite) {
-      // Batched write-back: hand the state to the caller (Scheduler)
-      // so one build applies all TU updates per DB shard in one lock
-      // acquisition instead of locking per TU from every worker.
-      Result.NewState = std::move(NewState);
-      Result.HasNewState = true;
-    } else {
-      DB->update(TUKey, std::move(NewState));
-    }
+    DB->update(TUKey, std::move(NewState));
   }
   StateSave.end();
   if (Tracing)

@@ -52,8 +52,7 @@ public:
 
 private:
   /// Sharded by key so the parallel compilations of one build don't
-  /// serialize on a single memo mutex (contention tracked via
-  /// fingerprintMemoContention()).
+  /// serialize on a single memo mutex.
   static constexpr size_t NumShards = 8;
   struct Shard {
     mutable std::mutex Mu;
@@ -102,15 +101,6 @@ struct CompilerOptions {
   /// Capture the per-(function, pass) decision log into
   /// CompileResult::Decisions (the `scbuild --explain` data source).
   bool RecordDecisions = false;
-
-  /// Stateful modes only: instead of writing the TU's new state into
-  /// the BuildStateDB at the end of compile() (one shard lock per TU,
-  /// from many workers at once), return it in CompileResult::NewState
-  /// for the caller to apply in one batch per build — see
-  /// BuildStateDB::applyBatch(). The DB is still required for
-  /// LOOKUPS of the previous state. Callers that set this own the
-  /// write-back; dropping the result loses the TU's dormancy state.
-  bool DeferStateWrite = false;
 };
 
 /// Wall-clock spent per compilation phase, in microseconds.
@@ -148,12 +138,6 @@ struct CompileResult {
   std::map<std::string, uint64_t> Fingerprints;
   size_t IRInstsBeforeOpt = 0;
   size_t IRInstsAfterOpt = 0;
-
-  /// The TU state to persist, populated (with HasNewState set) only
-  /// when Options.DeferStateWrite is on; the caller batches it into
-  /// the BuildStateDB.
-  bool HasNewState = false;
-  TUState NewState;
 };
 
 class Compiler {

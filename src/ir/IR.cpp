@@ -6,8 +6,6 @@
 
 #include "ir/IR.h"
 
-#include "support/ContentionStats.h"
-
 #include <algorithm>
 #include <atomic>
 #include <thread>
@@ -31,11 +29,6 @@ namespace {
 struct SpinLock {
   std::atomic_flag F = ATOMIC_FLAG_INIT;
   void lock() {
-    ContentionCounters &C = sharedUseContention();
-    C.Acquisitions.fetch_add(1, std::memory_order_relaxed);
-    if (!F.test_and_set(std::memory_order_acquire))
-      return;
-    C.Contended.fetch_add(1, std::memory_order_relaxed);
     unsigned Spins = 0;
     while (F.test_and_set(std::memory_order_acquire))
       if (++Spins >= 32) {
@@ -429,7 +422,7 @@ ConstantInt *Module::getConstant(IRType Ty, int64_t V) {
   uint64_t H = (static_cast<uint64_t>(V) ^ (static_cast<uint64_t>(Ty) << 56)) *
                0x9E3779B97F4A7C15ull;
   ConstantShard &Shard = ConstantShards[(H >> 32) % NumConstantShards];
-  auto Lock = timedLock(Shard.Mu, constantUniquingContention());
+  std::lock_guard<std::mutex> Lock(Shard.Mu);
   auto It = Shard.Index.find(Key);
   if (It != Shard.Index.end())
     return It->second;

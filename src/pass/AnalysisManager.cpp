@@ -6,8 +6,6 @@
 
 #include "pass/AnalysisManager.h"
 
-#include "support/ContentionStats.h"
-
 using namespace sc;
 
 AnalysisManager::SlotShard &AnalysisManager::shardFor(const Function &F) {
@@ -18,7 +16,7 @@ AnalysisManager::SlotShard &AnalysisManager::shardFor(const Function &F) {
 AnalysisManager::FunctionAnalyses &
 AnalysisManager::slotFor(const Function &F) {
   SlotShard &Shard = shardFor(F);
-  auto Lock = timedLock(Shard.Mu, analysisSlotContention());
+  std::lock_guard<std::mutex> Lock(Shard.Mu);
   return Shard.Map[&F];
 }
 
@@ -79,7 +77,7 @@ void AnalysisManager::unfreezeModuleAnalyses() {
 void AnalysisManager::invalidate(const Function &F) {
   {
     SlotShard &Shard = shardFor(F);
-    auto Lock = timedLock(Shard.Mu, analysisSlotContention());
+    std::lock_guard<std::mutex> Lock(Shard.Mu);
     Shard.Map.erase(&F);
   }
   // Module-level analyses are invalidated lazily: resetting them here

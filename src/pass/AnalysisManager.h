@@ -92,7 +92,7 @@ private:
 
   /// The per-function slot map is sharded by function pointer so
   /// concurrent chains' lookups/invalidations rarely collide on one
-  /// mutex (contention tracked via analysisSlotContention()).
+  /// mutex.
   static constexpr size_t NumSlotShards = 8;
   struct SlotShard {
     std::mutex Mu;

@@ -7,7 +7,6 @@
 #include "state/BuildStateDB.h"
 
 #include "support/AtomicFile.h"
-#include "support/ContentionStats.h"
 #include "support/Hashing.h"
 #include "support/Serializer.h"
 
@@ -40,37 +39,16 @@ BuildStateDB::Shard &BuildStateDB::shardFor(const std::string &TUKey) const {
 
 const TUState *BuildStateDB::lookup(const std::string &TUKey) const {
   Shard &S = shardFor(TUKey);
-  auto Lock = timedLock(S.Mu, stateDBContention());
+  std::lock_guard<std::mutex> Lock(S.Mu);
   auto It = S.TUs.find(TUKey);
   return It != S.TUs.end() ? &It->second : nullptr;
 }
 
 void BuildStateDB::update(const std::string &TUKey, TUState State) {
   Shard &S = shardFor(TUKey);
-  auto Lock = timedLock(S.Mu, stateDBContention());
+  std::lock_guard<std::mutex> Lock(S.Mu);
   S.TUs[TUKey] = std::move(State);
   S.SegmentCache.erase(TUKey);
-}
-
-void BuildStateDB::applyBatch(
-    std::vector<std::pair<std::string, TUState>> Updates) {
-  // Group by shard first, then lock each shard exactly once. The
-  // caller runs this at a quiet point (end of the compile wave), so
-  // the single coarse hold per shard displaces what used to be one
-  // contended lock round trip per TU from every worker thread.
-  std::vector<size_t> ByShard[NumShards];
-  for (size_t I = 0; I != Updates.size(); ++I)
-    ByShard[hashString(Updates[I].first) % NumShards].push_back(I);
-  for (size_t SI = 0; SI != NumShards; ++SI) {
-    if (ByShard[SI].empty())
-      continue;
-    Shard &S = Shards[SI];
-    auto Lock = timedLock(S.Mu, stateDBContention());
-    for (size_t I : ByShard[SI]) {
-      S.TUs[Updates[I].first] = std::move(Updates[I].second);
-      S.SegmentCache.erase(Updates[I].first);
-    }
-  }
 }
 
 void BuildStateDB::remove(const std::string &TUKey) {

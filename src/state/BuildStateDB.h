@@ -96,13 +96,6 @@ public:
   /// Installs (replaces) a TU's state after a compilation.
   void update(const std::string &TUKey, TUState State);
 
-  /// Installs many TUs' states in one pass, grouped by shard so each
-  /// shard's lock is taken at most once for the whole batch (vs one
-  /// lock round trip per TU through update()). Used by the parallel
-  /// scheduler's deferred write-back (CompilerOptions::DeferStateWrite)
-  /// at end of build. Equivalent to calling update() per entry.
-  void applyBatch(std::vector<std::pair<std::string, TUState>> Updates);
-
   /// Drops a TU's state (e.g. the source file was deleted).
   void remove(const std::string &TUKey);
 

@@ -6,7 +6,6 @@
 
 #include "state/StatefulPolicy.h"
 
-#include "support/ContentionStats.h"
 
 using namespace sc;
 
@@ -85,7 +84,7 @@ StatefulInstrumentation::slotFor(const std::string &FName) {
   if (It != Slots.end())
     return It->second;
   // Unknown function (not in the fingerprint set): rare safety path.
-  auto Lock = timedLock(OverflowMu, statefulPolicyContention());
+  std::lock_guard<std::mutex> Lock(OverflowMu);
   auto [OIt, Inserted] = Overflow.try_emplace(FName);
   if (Inserted)
     initSlot(OIt->second, FName, 0);

@@ -13,8 +13,10 @@
 //===----------------------------------------------------------------------===//
 
 #include "cache_sys/CacheDaemon.h"
+#include "cache_sys/CacheProtocol.h"
 #include "cache_sys/RemoteCacheClient.h"
 #include "support/Hashing.h"
+#include "support/Socket.h"
 
 #include <gtest/gtest.h>
 
@@ -127,6 +129,49 @@ TEST(CacheDaemon, TouchReportsMissUntilPublished) {
   ASSERT_EQ(Client->publish(0x42, Digest, Bytes),
             RemoteCacheClient::Result::Hit);
   EXPECT_EQ(Client->touchEntry(0x42, Digest), RemoteCacheClient::Result::Hit);
+}
+
+TEST(CacheDaemon, AnswersOnlyKindEntry) {
+  DaemonFixture D;
+  const std::string Bytes = "entries only";
+  const uint64_t Digest = hashString(Bytes);
+  {
+    auto Client = D.client();
+    ASSERT_TRUE(Client);
+    ASSERT_EQ(Client->publish(0x77, Digest, Bytes),
+              RemoteCacheClient::Result::Hit);
+  }
+  UnixSocket Conn = UnixSocket::connectTo(D.SockPath, nullptr);
+  ASSERT_TRUE(Conn.valid());
+  auto RoundTrip = [&](CacheRequest::Op Op, const char *Kind, uint64_t Key,
+                       CacheResponse &Resp) {
+    CacheRequest Req;
+    Req.Operation = Op;
+    Req.Kind = Kind;
+    Req.Key = hex16(Key);
+    std::string Frame;
+    return Conn.sendFrame(encodeCacheRequest(Req)) &&
+           Conn.recvFrame(Frame, 10000) && decodeCacheResponse(Frame, Resp);
+  };
+
+  // Get and touch by digest (kind `obj`) are refused, even for a
+  // stored object, and leave the connection in sync.
+  for (CacheRequest::Op Op : {CacheRequest::Op::Get, CacheRequest::Op::Touch}) {
+    CacheResponse Resp;
+    ASSERT_TRUE(RoundTrip(Op, "obj", Digest, Resp));
+    EXPECT_FALSE(Resp.Ok);
+    EXPECT_EQ(Resp.Error, "bad key or kind");
+  }
+
+  CacheResponse Resp;
+  ASSERT_TRUE(RoundTrip(CacheRequest::Op::Get, "entry", 0x77, Resp));
+  EXPECT_TRUE(Resp.Ok);
+  EXPECT_TRUE(Resp.Found);
+  EXPECT_EQ(Resp.Mask, "1");
+  EXPECT_EQ(Resp.Digest, hex16(Digest));
+  std::string Object;
+  ASSERT_TRUE(Conn.recvFrame(Object, 10000));
+  EXPECT_EQ(Object, Bytes);
 }
 
 TEST(CacheDaemon, ServesConcurrentClients) {

@@ -339,8 +339,8 @@ TEST(ServiceBounds, CacheStalledReaderCannotHoldTheDrain) {
   ASSERT_TRUE(Stalled.valid());
   CacheRequest Get;
   Get.Operation = CacheRequest::Op::Get;
-  Get.Kind = "obj";
-  Get.Key = hex16(Digest);
+  Get.Kind = "entry";
+  Get.Key = hex16(0x51a11);
   ASSERT_TRUE(Stalled.sendFrame(encodeCacheRequest(Get)));
   // Reply: the response header, then the object.
   expectStalledReaderCannotHoldDrain(Stalled, *H.Daemon, H.Serve, 2);

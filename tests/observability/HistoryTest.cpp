@@ -343,7 +343,7 @@ TEST(HistoryLedger, SchemaOneLedgerLoadsTakesAppendsAndAnalyzes) {
   Opt.AgainstId = 2;
   AnalyzeResult R = analyzeHistory(FS, LedgerPath, Opt);
   ASSERT_TRUE(R.OK) << R.Error;
-  EXPECT_NE(R.Text.find("\"schema_version\": 2"), std::string::npos);
+  EXPECT_NE(R.Text.find("\"schema_version\": 3"), std::string::npos);
   EXPECT_NE(R.Text.find("\"build\": 3"), std::string::npos);
   EXPECT_EQ(R.Text.find("\"samples\""), std::string::npos);
 }
@@ -595,12 +595,41 @@ TEST(Analyze, JsonCarriesSchemaAndSlowestNodes) {
   AnalyzeResult R = analyzeHistory(FS, LedgerPath, Opt);
   ASSERT_TRUE(R.OK) << R.Error;
   EXPECT_NE(R.Text.find("\"schema\": \"scbuild-analyze\""), std::string::npos);
-  EXPECT_NE(R.Text.find("\"schema_version\": 2"), std::string::npos);
+  EXPECT_NE(R.Text.find("\"schema_version\": 3"), std::string::npos);
   EXPECT_NE(R.Text.find("\"slowest_tu\": {\"name\": \"bravo.mc\""),
             std::string::npos);
   EXPECT_NE(R.Text.find("\"slowest_pass\": {\"name\": \"dse\""),
             std::string::npos);
   EXPECT_NE(R.Text.find("\"critical_path\""), std::string::npos);
+}
+
+TEST(Analyze, LockCountersOfAnOlderRecordAreNotReported) {
+  // Ledgers written before lock contention stopped being counted carry
+  // lock.* counters; they still analyze, and analyze reports none.
+  InMemoryFileSystem FS;
+  HistoryRecord Old = sampleRecord();
+  Old.Counters["lock.constants.acquisitions"] = 900;
+  Old.Counters["lock.constants.contended"] = 3;
+  Old.Counters["lock.constants.wait_ns"] = 5000000;
+  ASSERT_TRUE(BuildHistory::append(FS, LedgerPath, Old, 10));
+  const std::string Ledger = *FS.readFile(LedgerPath);
+  ASSERT_NE(Ledger.find("\"schema_version\":2,"), std::string::npos);
+  ASSERT_NE(Ledger.find("\"lock.constants.wait_ns\":5000000"),
+            std::string::npos);
+
+  AnalyzeOptions Opt;
+  Opt.Json = true;
+  AnalyzeResult J = analyzeHistory(FS, LedgerPath, Opt);
+  ASSERT_TRUE(J.OK) << J.Error;
+  EXPECT_NE(J.Text.find("\"schema_version\": 3"), std::string::npos);
+  EXPECT_EQ(J.Text.find("lock_wait_ns"), std::string::npos);
+  EXPECT_EQ(J.Text.find("lock."), std::string::npos);
+
+  Opt.Json = false;
+  AnalyzeResult H = analyzeHistory(FS, LedgerPath, Opt);
+  ASSERT_TRUE(H.OK) << H.Error;
+  EXPECT_NE(H.Text.find("critical path"), std::string::npos);
+  EXPECT_EQ(H.Text.find("lock wait"), std::string::npos);
 }
 
 TEST(Analyze, DiffEmitsStableReasonCodes) {

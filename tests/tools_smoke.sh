@@ -220,6 +220,19 @@ for BAD in abc 4x -- -1; do
 done
 "$SCBUILD" . -j 0 --quiet || { echo "FAIL: -j 0 must clamp to 1"; exit 1; }
 
+# A parallel build reports its pool scheduling counters and nothing
+# about lock contention or the scheduler: neither is counted.
+"$SCBUILD" . --clean -j 2 --quiet --report-json=reportj2.json
+python3 - <<'PYEOF' || { echo "FAIL: -j 2 report metrics wrong"; exit 1; }
+import json
+metrics = json.load(open("reportj2.json"))["metrics"]
+names = set(metrics["counters"]) | set(metrics["gauges"])
+stray = sorted(n for n in names if n.startswith(("lock.", "scheduler.")))
+assert not stray, stray
+for name in ("pool.steals", "pool.park_wait_ns"):
+    assert name in metrics["counters"], f"missing {name}"
+PYEOF
+
 # The hidden --lock-timeout-ms takes the same strict parse: -1 is an
 # error, not a wait of 4294967295 ms.
 set +e
@@ -511,7 +524,8 @@ grep -q "vs build 1" adiff.log || {
 python3 - <<'PYEOF' || { echo "FAIL: analyze JSON invalid"; exit 1; }
 import json
 doc = json.load(open("analyze.json"))
-assert doc["schema"] == "scbuild-analyze" and doc["schema_version"] == 2
+assert doc["schema"] == "scbuild-analyze" and doc["schema_version"] == 3
+assert "lock_wait_ns" not in doc, "schema 3 dropped the lock-wait table"
 assert doc["build"] == 2 and doc["against"] == 1
 assert "samples" not in doc, "schema 2 dropped the samples array"
 assert doc["slowest_tu"]["name"], "no slowest TU named"
